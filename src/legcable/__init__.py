@@ -40,20 +40,10 @@ from .atlas import (
     unknot_atlas,
 )
 from .cables import (
-    CableClass,
     IntegerLinkBase,
-    LesserClass,
     Regime,
-    cable_equal,
-    cable_invariants,
     cable_mountain_range,
-    cable_stabilize,
-    greater_cable,
-    lesser_cable,
-    lesser_canonical_form,
-    lesser_invariants,
     lesser_mountain_range,
-    lesser_stabilize,
     lesser_thresholds,
     regime,
     twisted_copy,

@@ -25,7 +25,7 @@ from .errors import (
     UnknownGenerator,
     UnsupportedKind,
 )
-from .mountain import MountainRange
+from .mountain import MountainRange, tally
 
 POS = 1
 NEG = -1
@@ -494,18 +494,14 @@ def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
     """Multiplicities of distinct classes per (rot, tb) down to tb_min."""
     if tb_min > atlas.tbb:
         raise CutoffAbovePeak(f"tb_min={tb_min} above the peak row tb={atlas.tbb}")
-    entries: dict[tuple[int, int], int] = {}
-    labels: dict[tuple[int, int], tuple[str, ...]] = {}
-    for tb in range(atlas.tbb, tb_min - 1, -1):
-        by_point: dict[tuple[int, int], list[LegClass]] = {}
-        for cls in classes_at_tb(atlas, tb):
-            rot, _ = invariants(atlas, cls)
-            by_point.setdefault((rot, tb), []).append(cls)
-        for point, classes in by_point.items():
-            entries[point] = len(classes)
-            labels[point] = tuple(class_label(atlas, c) for c in classes)
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, labels=labels, truncated=truncated)
+    return tally(
+        (
+            ((invariants(atlas, cls).rot, tb), class_label(atlas, cls))
+            for tb in range(atlas.tbb, tb_min - 1, -1)
+            for cls in classes_at_tb(atlas, tb)
+        ),
+        tb_min,
+    )
 
 
 def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]:

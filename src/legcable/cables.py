@@ -1,10 +1,17 @@
-"""Slope-regime arithmetic and the three cable constructions.
+"""Slope-regime arithmetic and the cable mountain ranges.
+
+A cable knot is the n = 1 case of the (np, nq)-cable links in ``links``.
+This module holds what the link types and the mountain ranges share, none
+of which needs a link type: the slope regimes, the twisted-copy base of
+integer-sloped cables, the lesser thresholds, and the invariants of the
+unstabilized cable of a class.
 
 Greater-sloped cables (q/p above the width ceiling) come with a p-by-p
 diamond of stabilization classes over the underlying knot; integer-sloped
 lesser cables are twisted n-copies; non-integer lesser-sloped cables of
 uniformly thick knot types come as +/- standard cables of the classes in
-the tb = ceil(q/p) window.  Only exact integer arithmetic is used.
+the tb = ceil(q/p) window, which merge into ruling forms past the
+thresholds.  Only exact integer arithmetic is used.
 
 Sign conventions.  The cable slope is always the actual pair (p, q) with
 gcd(p, q) = 1 and p >= 1; q may be negative.  A greater cable of u has
@@ -22,7 +29,6 @@ from math import gcd
 from .atlas import (
     KnotAtlas,
     LegClass,
-    Named,
     NEG,
     POS,
     RotTb,
@@ -31,11 +37,9 @@ from .atlas import (
     classes_at_tb,
     invariants,
     normalize,
-    peaks,
-    stabilize,
 )
-from .errors import NotReduced, SlopeMismatch, WrongRegime, WrongWindow
-from .mountain import MountainRange
+from .errors import NotReduced, WrongRegime
+from .mountain import MountainRange, tally
 
 
 class Regime(Enum):
@@ -62,92 +66,46 @@ def regime(atlas: KnotAtlas, p: int, q: int) -> Regime:
     return Regime.UNSUPPORTED_WINDOW
 
 
+def _stabilized(cells):
+    """Labelled points of the stabilizations of unstabilized cables.
+
+    A cell is (name, invariants, a_lim, b_lim); it yields ``name+a-b`` (just
+    ``name`` for a = b = 0) at (rot + a - b, tb - a - b) for a < a_lim and
+    b < b_lim.
+    """
+    for name, (rot, tb), a_lim, b_lim in cells:
+        for a in range(a_lim):
+            for b in range(b_lim):
+                yield (rot + a - b, tb - a - b), f"{name}+{a}-{b}" if a or b else name
+
+
 # ---------------------------------------------------------------------------
 # Greater-sloped cables
 
 
-@dataclass(frozen=True)
-class CableClass:
-    """A greater cable of ``u`` with diamond coordinates (i, j) in [0, p)^2."""
-
-    u: LegClass
-    p: int
-    q: int
-    i: int = 0
-    j: int = 0
-
-
-def greater_cable(atlas: KnotAtlas, u: LegClass, p: int, q: int) -> CableClass:
-    if regime(atlas, p, q) is not Regime.GREATER:
-        raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
-    return CableClass(normalize(atlas, u), p, q, 0, 0)
-
-
-def cable_invariants(atlas: KnotAtlas, c: CableClass) -> RotTb:
-    rot_u, tb_u = invariants(atlas, c.u)
-    tb = c.p * c.q - (c.q - c.p * tb_u) - c.i - c.j
-    rot = c.p * rot_u + c.i - c.j
-    return RotTb(rot, tb)
-
-
-def cable_stabilize(atlas: KnotAtlas, c: CableClass, sign: int, count: int = 1) -> CableClass:
-    """Stabilize; every p same-sign stabilizations push into the underlying knot."""
-    u, i, j = c.u, c.i, c.j
-    if sign == POS:
-        i += count
-        while i >= c.p:
-            i -= c.p
-            u = stabilize(atlas, u, POS, 1)
-    else:
-        j += count
-        while j >= c.p:
-            j -= c.p
-            u = stabilize(atlas, u, NEG, 1)
-    return CableClass(normalize(atlas, u), c.p, c.q, i, j)
-
-
-def cable_equal(atlas: KnotAtlas, c1: CableClass, c2: CableClass) -> bool:
-    """Diamonds of non-isotopic underlying knots are disjoint."""
-    if (c1.p, c1.q) != (c2.p, c2.q):
-        raise SlopeMismatch(f"({c1.p},{c1.q}) vs ({c2.p},{c2.q})")
-    from .atlas import is_equal
-
-    return is_equal(atlas, c1.u, c2.u) and c1.i == c2.i and c1.j == c2.j
-
-
-def cable_label(atlas: KnotAtlas, c: CableClass) -> str:
-    base = f"{class_label(atlas, c.u)}({c.p},{c.q})"
-    if c.i == 0 and c.j == 0:
-        return base
-    return f"{base}+{c.i}-{c.j}"
+def greater_base_invariants(atlas: KnotAtlas, u: LegClass, p: int, q: int) -> RotTb:
+    """Invariants of the unstabilized greater (p, q)-cable of ``u``."""
+    rot_u, tb_u = invariants(atlas, u)
+    return RotTb(p * rot_u, p * q - (q - p * tb_u))
 
 
 def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> MountainRange:
-    """Distinct greater-cable classes per lattice point down to tb_min."""
+    """Distinct greater-cable classes per lattice point down to tb_min.
+
+    Every class u carries its diamond: the stabilizations (i, j) in [0, p)^2
+    of its unstabilized cable.
+    """
     if regime(atlas, p, q) is not Regime.GREATER:
         raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
-    entries: dict[tuple[int, int], int] = {}
-    labels: dict[tuple[int, int], tuple[str, ...]] = {}
-    by_point: dict[tuple[int, int], list[str]] = {}
     # Underlying classes with tb_u below this floor cannot reach tb_min even
     # with i = j = 0.
     floor = ceil_div(tb_min - p * q + q, p)
-    tb_u = atlas.tbb
-    while tb_u >= floor:
-        for u in classes_at_tb(atlas, tb_u):
-            for i in range(p):
-                for j in range(p):
-                    c = CableClass(u, p, q, i, j)
-                    rot, tb = cable_invariants(atlas, c)
-                    if tb < tb_min:
-                        continue
-                    by_point.setdefault((rot, tb), []).append(cable_label(atlas, c))
-        tb_u -= 1
-    for point, names in by_point.items():
-        entries[point] = len(names)
-        labels[point] = tuple(sorted(names))
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, labels=labels, truncated=truncated)
+    cells = [
+        (f"{class_label(atlas, u)}({p},{q})", greater_base_invariants(atlas, u, p, q), p, p)
+        for tb_u in range(atlas.tbb, floor - 1, -1)
+        for u in classes_at_tb(atlas, tb_u)
+    ]
+    return tally(sorted(_stabilized(cells)), tb_min)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +136,11 @@ def twisted_copy(atlas: KnotAtlas, L: LegClass, n: int, t: int) -> IntegerLinkBa
     return IntegerLinkBase(L=L, n=n, t=t, q=tb - t)
 
 
-def integer_component_invariants(atlas: KnotAtlas, base: IntegerLinkBase) -> list[RotTb]:
-    rot, tb = invariants(atlas, base.L)
-    return [RotTb(rot, tb)] + [RotTb(rot, tb - 2 * base.t)] * (base.n - 1)
-
-
 # ---------------------------------------------------------------------------
 # Non-integer lesser-sloped cables
 
-
-@dataclass(frozen=True)
-class LesserClass:
-    """A +/- standard (p, q)-cable of a tb = ceil(q/p) window class.
-
-    Before stabilization tb = pq and rot = p rot(base) + sign (p tb(base) - q).
-    """
-
-    base: LegClass
-    sign: int
-    p: int
-    q: int
-    a: int = 0
-    b: int = 0
+DIVIDE = "divide"
+RULING = "ruling"
 
 
 def lesser_thresholds(atlas: KnotAtlas, p: int, q: int) -> tuple[int, int]:
@@ -209,59 +150,53 @@ def lesser_thresholds(atlas: KnotAtlas, p: int, q: int) -> tuple[int, int]:
     return theta0, p - theta0
 
 
-def lesser_cable(atlas: KnotAtlas, base: LegClass, sign: int, p: int, q: int) -> LesserClass:
-    if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
-        raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
-    base = normalize(atlas, base)
-    _, tb = invariants(atlas, base)
-    if tb != ceil_div(q, p):
-        raise WrongWindow(f"base tb={tb} but the window is tb={ceil_div(q, p)}")
-    if sign not in (POS, NEG):
-        raise WrongWindow(f"sign must be +1 or -1, got {sign!r}")
-    return LesserClass(base=base, sign=sign, p=p, q=q)
+def lesser_base_invariants(
+    atlas: KnotAtlas, form: str, base: LegClass, sign: int, p: int, q: int
+) -> RotTb:
+    """Invariants of the unstabilized lesser cable of ``base``.
 
-
-def lesser_invariants(atlas: KnotAtlas, c: LesserClass) -> RotTb:
-    rot_b, tb_b = invariants(atlas, c.base)
-    rot = c.p * rot_b + c.sign * (c.p * tb_b - c.q) + c.a - c.b
-    tb = c.p * c.q - c.a - c.b
-    return RotTb(rot, tb)
-
-
-def lesser_stabilize(atlas: KnotAtlas, c: LesserClass, sign: int, count: int = 1) -> LesserClass:
-    if sign == POS:
-        return LesserClass(c.base, c.sign, c.p, c.q, c.a + count, c.b)
-    return LesserClass(c.base, c.sign, c.p, c.q, c.a, c.b + count)
-
-
-def lesser_canonical_form(atlas: KnotAtlas, c: LesserClass):
-    """The deeper canonical presentation of a stabilized lesser cable.
-
-    Returns the n = 1 link-level form: still a standard cable below the
-    thresholds, a ruling form over a (possibly stabilized) class beyond them.
+    A standard cable (form "divide") has tb = pq and
+    rot = p rot(base) + sign (p tb(base) - q); a ruling form has rot = p rot(base)
+    and tb = pq - |p tb(base) - q|.
     """
-    from . import links
-
-    one = links.LesserLink(links.DIVIDE, c.base, c.sign, 1, c.p, c.q, ((c.a, c.b),))
-    return links.canonicalize(atlas, one)
+    rot_b, tb_b = invariants(atlas, base)
+    if form == DIVIDE:
+        return RotTb(rot_b * p + sign * (p * tb_b - q), p * q)
+    return RotTb(rot_b * p, p * q - abs(p * tb_b - q))
 
 
 def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> MountainRange:
-    """Distinct lesser-cable classes per lattice point, after all merges.
+    """Distinct lesser-cable knot classes per lattice point, after all merges.
 
-    Delegates to the link module's canonical forms with n = 1; the peak row
-    tb = pq carries exactly two classes per window class.
+    These are the canonical forms of the n = 1 lesser link: below the
+    thresholds, each window class carries its two standard cables and the
+    ruling form over it; every class below the window carries a p-by-p
+    block of deep ruling forms.  The peak row tb = pq carries exactly two
+    classes per window class.
     """
-    from . import links
-
-    return links.lesser_knot_mountain_range(atlas, p, q, tb_min)
+    if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
+        raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
+    th0, th1 = lesser_thresholds(atlas, p, q)
+    window = ceil_div(q, p)
+    cells = []
+    for w in window_classes(atlas, p, q):
+        name = class_label(atlas, w)
+        cells += [
+            (f"{name}^+", lesser_base_invariants(atlas, DIVIDE, w, POS, p, q), th1, th0),
+            (f"{name}^-", lesser_base_invariants(atlas, DIVIDE, w, NEG, p, q), th0, th1),
+            (f"rul[{name}]", lesser_base_invariants(atlas, RULING, w, 0, p, q), th1, th1),
+        ]
+    # tb of a deep ruling with zero vector is pq - (q - p tb_u); below this
+    # floor even the unstabilized ruling sits under the cutoff.
+    floor = ceil_div(tb_min - p * q + q, p)
+    cells += [
+        (f"rul[{class_label(atlas, u)}]", lesser_base_invariants(atlas, RULING, u, 0, p, q), p, p)
+        for tb_u in range(window - 1, floor - 1, -1)
+        for u in classes_at_tb(atlas, tb_u)
+    ]
+    return tally(sorted(_stabilized(cells)), tb_min)
 
 
 def window_classes(atlas: KnotAtlas, p: int, q: int) -> list[LegClass]:
     """The distinct classes at tb = ceil(q/p), the lesser-cable bases."""
     return classes_at_tb(atlas, ceil_div(q, p))
-
-
-def greater_bases(atlas: KnotAtlas, p: int, q: int) -> list[CableClass]:
-    """Standard cables of the non-destabilizable classes (the diamond tops)."""
-    return [greater_cable(atlas, Named(g.id), p, q) for g in peaks(atlas)]

@@ -49,10 +49,6 @@ class WrongWindow(EngineError):
     """Lesser-cable base class does not sit at tb = ceil(q/p)."""
 
 
-class SlopeMismatch(EngineError):
-    """Cable classes compared across different slopes."""
-
-
 class RegimeMismatch(EngineError):
     """Links compared across regimes, slopes, or component counts."""
 
@@ -79,3 +75,10 @@ class BudgetExceeded(EngineError):
 
 class EmptyRange(EngineError):
     """Renderer called on a mountain range with no entries."""
+
+
+class InvalidMultiplicity(EngineError):
+    """A mountain-range entry has multiplicity below 1."""
+
+    def __init__(self, rot: int, tb: int, mult: int) -> None:
+        super().__init__(f"multiplicity {mult} at ({rot}, {tb}) must be >= 1")

@@ -25,8 +25,8 @@ classification is silent, with a reason naming the silent clause.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Union
 
 from .atlas import (
@@ -48,11 +48,12 @@ from .atlas import (
     stabilize,
 )
 from .cables import (
-    CableClass,
+    DIVIDE,
+    RULING,
     IntegerLinkBase,
     Regime,
-    cable_equal,
-    cable_stabilize,
+    greater_base_invariants,
+    lesser_base_invariants,
     lesser_thresholds,
     regime,
     twisted_copy,
@@ -66,7 +67,6 @@ from .errors import (
     WrongRegime,
     WrongWindow,
 )
-from .mountain import MountainRange
 
 ISOTOPIC = "isotopic"
 NOT_ISOTOPIC = "not_isotopic"
@@ -130,10 +130,6 @@ class GreaterLink:
 class IntegerLink:
     base: IntegerLinkBase
     vec: StabVec
-
-
-DIVIDE = "divide"
-RULING = "ruling"
 
 
 @dataclass(frozen=True)
@@ -289,9 +285,7 @@ def link_label(atlas, link: Link) -> str:
 
 def component_invariants(atlas, link: Link) -> list[RotTb]:
     if isinstance(link, GreaterLink):
-        rot_u, tb_u = invariants(atlas, link.u)
-        rot0 = link.p * rot_u
-        tb0 = link.p * link.q - (link.q - link.p * tb_u)
+        rot0, tb0 = greater_base_invariants(atlas, link.u, link.p, link.q)
         return [RotTb(rot0 + a - b, tb0 - a - b) for a, b in link.vec]
     if isinstance(link, IntegerLink):
         rot, tb = invariants(atlas, link.base.L)
@@ -301,31 +295,23 @@ def component_invariants(atlas, link: Link) -> list[RotTb]:
             base_tb = tb if c == 0 else tb - 2 * t
             out.append(RotTb(rot + a - b, base_tb - a - b))
         return out
-    rot0, tb0 = _lesser_base_invariants(atlas, link)
+    rot0, tb0 = lesser_base_invariants(atlas, link.form, link.base, link.sign, link.p, link.q)
     return [RotTb(rot0 + a - b, tb0 - a - b) for a, b in link.vec]
-
-
-def _lesser_base_invariants(atlas, link: LesserLink) -> RotTb:
-    rot_b, tb_b = invariants(atlas, link.base)
-    if link.form == DIVIDE:
-        return RotTb(rot_b * link.p + link.sign * (link.p * tb_b - link.q), link.p * link.q)
-    return RotTb(rot_b * link.p, link.p * link.q - abs(link.p * tb_b - link.q))
 
 
 def component_class(atlas, link: Link, c: int):
     """The Legendrian class of component ``c`` (1-based).
 
-    Greater components are diamond classes; integer-sloped ruling components
-    are the base stabilized t times with both signs plus their own counts;
-    lesser components are the n = 1 specialization of the link itself.
+    Integer-sloped ruling components are the base stabilized t times with
+    both signs plus their own counts; greater and lesser components are the
+    canonical n = 1 specialization of the link itself.  Two components are
+    proven to be the same class exactly when these values are equal.
     """
     if not 1 <= c <= _link_n(link):
         raise BadIndex(f"component {c} of a link with {_link_n(link)} components")
     a, b = link.vec[c - 1]
     if isinstance(link, GreaterLink):
-        cab = CableClass(link.u, link.p, link.q, 0, 0)
-        cab = cable_stabilize(atlas, cab, POS, a)
-        return cable_stabilize(atlas, cab, NEG, b)
+        return canonicalize(atlas, GreaterLink(link.u, 1, link.p, link.q, ((a, b),)))
     if isinstance(link, IntegerLink):
         t = link.base.t if c > 1 else 0
         return normalize(
@@ -595,7 +581,6 @@ def _isotopic_greater(atlas, x: GreaterLink, y: GreaterLink) -> Verdict:
 
 
 def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> Verdict:
-    q = x.base.q
     if _inv_multiset(atlas, x) != _inv_multiset(atlas, y):
         return Verdict.no("component invariant multisets differ")
     n = x.base.n
@@ -771,27 +756,19 @@ def _isotopic_lesser(atlas, x: LesserLink, y: LesserLink) -> Verdict:
 # Component-wise isotopy and permutations
 
 
-def _components_equal(atlas, link1: Link, c1: int, link2: Link, c2: int) -> bool:
-    k1 = component_class(atlas, link1, c1)
-    k2 = component_class(atlas, link2, c2)
-    if isinstance(link1, GreaterLink):
-        return cable_equal(atlas, k1, k2)
-    if isinstance(link1, IntegerLink):
-        return is_equal(atlas, k1, k2)
-    return isotopic(atlas, k1, k2).is_isotopic
-
-
 def componentwise_isotopic(atlas, link1: Link, link2: Link) -> bool:
-    """True when some bijection of components matches Legendrian classes."""
+    """True when some bijection of components matches Legendrian classes.
+
+    Components match where their classes are proven equal, which in every
+    regime means equal ``component_class`` values, so such a bijection
+    exists exactly when the multisets of values agree.
+    """
     _require_comparable(link1, link2)
-    n = _link_n(link1)
-    match = [
-        [_components_equal(atlas, link1, i + 1, link2, j + 1) for j in range(n)]
-        for i in range(n)
-    ]
-    return any(
-        all(match[i][perm[i]] for i in range(n)) for perm in permutations(range(n))
-    )
+
+    def classes(link: Link) -> Counter:
+        return Counter(component_class(atlas, link, c) for c in range(1, _link_n(link) + 1))
+
+    return classes(link1) == classes(link2)
 
 
 def permutation_realizable(atlas, link: Link, perm) -> Verdict:
@@ -875,54 +852,3 @@ def enumerate_nondestab_links(atlas, n: int, p: int, q: int) -> list[Link]:
         f"({p},{q}) lies in the unsupported window between tbb and the width "
         f"ceiling for {atlas.name}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Lesser-cable mountain range (n = 1 canonical forms)
-
-
-def _lesser_label(atlas, link: LesserLink) -> str:
-    a, b = link.vec[0]
-    stabs = "" if a == 0 and b == 0 else f"+{a}-{b}"
-    if link.form == DIVIDE:
-        sign = "+" if link.sign == POS else "-"
-        return f"{class_label(atlas, link.base)}^{sign}{stabs}"
-    return f"rul[{class_label(atlas, link.base)}]{stabs}"
-
-
-def lesser_knot_mountain_range(atlas, p: int, q: int, tb_min: int) -> MountainRange:
-    """Distinct canonical lesser-cable knot classes per lattice point."""
-    if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
-        raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
-    th0, th1 = lesser_thresholds(atlas, p, q)
-    window = ceil_div(q, p)
-    by_point: dict[tuple[int, int], list[str]] = {}
-
-    def add(link: LesserLink) -> None:
-        rot, tb = component_invariants(atlas, link)[0]
-        if tb < tb_min:
-            return
-        by_point.setdefault((rot, tb), []).append(_lesser_label(atlas, link))
-
-    for w in classes_at_tb(atlas, window):
-        for sign in (POS, NEG):
-            a_lim = th1 if sign == POS else th0
-            b_lim = th0 if sign == POS else th1
-            for a in range(a_lim):
-                for b in range(b_lim):
-                    add(LesserLink(DIVIDE, w, sign, 1, p, q, ((a, b),)))
-        for a in range(th1):
-            for b in range(th1):
-                add(LesserLink(RULING, w, 0, 1, p, q, ((a, b),)))
-    # tb of a deep ruling with zero vector is pq - (q - p tb_u); below this
-    # floor even the unstabilized ruling sits under the cutoff.
-    floor = ceil_div(tb_min - p * q + q, p)
-    for tb_u in range(window - 1, floor - 1, -1):
-        for u in classes_at_tb(atlas, tb_u):
-            for a in range(p):
-                for b in range(p):
-                    add(LesserLink(RULING, u, 0, 1, p, q, ((a, b),)))
-    entries = {pt: len(names) for pt, names in by_point.items()}
-    labels = {pt: tuple(sorted(names)) for pt, names in by_point.items()}
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, labels=labels, truncated=truncated)

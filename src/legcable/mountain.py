@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
-from .errors import ParityViolation
+from .errors import InvalidMultiplicity, ParityViolation
+
+Point = tuple[int, int]
 
 
 @dataclass
@@ -17,9 +20,9 @@ class MountainRange:
     occupied).  ``labels`` optionally names the classes at a point.
     """
 
-    entries: dict[tuple[int, int], int]
+    entries: dict[Point, int]
     tb_min: int
-    labels: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict)
+    labels: dict[Point, tuple[str, ...]] = field(default_factory=dict)
     truncated: bool = True
 
     def __post_init__(self) -> None:
@@ -32,7 +35,7 @@ class MountainRange:
     def multiplicity(self, rot: int, tb: int) -> int:
         return self.entries.get((rot, tb), 0)
 
-    def points(self) -> list[tuple[int, int]]:
+    def points(self) -> list[Point]:
         """Occupied lattice points, top row first, left to right."""
         return sorted(self.entries, key=lambda pt: (-pt[1], pt[0]))
 
@@ -60,6 +63,31 @@ class MountainRange:
         return doc
 
 
-class InvalidMultiplicity(ValueError):
-    def __init__(self, rot: int, tb: int, mult: int) -> None:
-        super().__init__(f"multiplicity {mult} at ({rot}, {tb}) must be >= 1")
+def from_counts(
+    entries: dict[Point, int], tb_min: int, labels: Optional[dict] = None
+) -> MountainRange:
+    """The range of counted points cut at ``tb_min``.
+
+    Every builder here enumerates whole stabilization cones, so the range is
+    truncated exactly when its cutoff row is occupied.
+    """
+    truncated = any(t == tb_min for (_, t) in entries)
+    return MountainRange(entries=entries, tb_min=tb_min, labels=labels or {},
+                         truncated=truncated)
+
+
+def tally(labelled: Iterable[tuple[Point, str]], tb_min: int) -> MountainRange:
+    """Count labelled (rot, tb) points at or above ``tb_min`` into a range.
+
+    Each pair is one class at one point.  The labels of a point keep the
+    order they arrive in; pass the pairs sorted to sort them.
+    """
+    names: dict[Point, list[str]] = {}
+    for point, label in labelled:
+        if point[1] >= tb_min:
+            names.setdefault(point, []).append(label)
+    return from_counts(
+        {pt: len(ls) for pt, ls in names.items()},
+        tb_min,
+        {pt: tuple(ls) for pt, ls in names.items()},
+    )

@@ -2,14 +2,15 @@
 
 ``closure_equal`` runs a breadth-first search over every identification the
 engine's data admits -- atlas rewrite rules in both directions, diamond
-pushes of greater cables, twisted-copy presentation moves, and the lesser
-threshold rewrites -- operating on raw presentations rather than normal
-forms, so it is independent of the greedy canonicalizations it validates.
+pushes of greater links (a cable knot is the n = 1 case), twisted-copy
+presentation moves, and the lesser threshold rewrites -- operating on raw
+presentations rather than normal forms, so it is independent of the greedy
+canonicalizations it validates.
 
 Because the move sets generate the full isotopy relation only for atlas
-classes, greater cables, and greater links, a disjoint fully-explored pair
-is reported NotIsotopic only in those regimes (or when component invariants
-already differ).  Integer and lesser pairs whose distinctness rests on the
+classes and greater links, a disjoint fully-explored pair is reported
+NotIsotopic only in those regimes (or when component invariants already
+differ).  Integer and lesser pairs whose distinctness rests on the
 classification's side conditions come back Unknown: the oracle never
 overclaims, since it is the trust anchor.
 """
@@ -32,7 +33,7 @@ from .atlas import (
     invariants,
     peaks,
 )
-from .cables import CableClass, cable_invariants, lesser_thresholds, window_classes
+from .cables import lesser_thresholds, window_classes
 from .errors import BudgetExceeded, KindMismatch
 from .links import (
     DIVIDE,
@@ -45,7 +46,7 @@ from .links import (
     int_state,
     integer_moves,
 )
-from .mountain import MountainRange
+from .mountain import MountainRange, from_counts
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,6 @@ def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
                     out.append(Named(rule.src, *ab))
         elif isinstance(c, Named) and rule.dst == c.gen:
             out.append(Named(rule.src, c.plus + rule.da, c.minus + rule.db))
-    return out
-
-
-def _cable_moves(atlas: KnotAtlas, state: CableClass) -> list[CableClass]:
-    u, p, q, i, j = state.u, state.p, state.q, state.i, state.j
-    out = [CableClass(u2, p, q, i, j) for u2 in legclass_moves(atlas, u)]
-    if i >= p:
-        out.append(CableClass(_raw_stab(u, POS), p, q, i - p, j))
-    if j >= p:
-        out.append(CableClass(_raw_stab(u, NEG), p, q, i, j - p))
-    for x in _raw_destabs(atlas, u, POS):
-        out.append(CableClass(x, p, q, i + p, j))
-    for x in _raw_destabs(atlas, u, NEG):
-        out.append(CableClass(x, p, q, i, j + p))
     return out
 
 
@@ -212,8 +199,6 @@ def _dispatch(atlas, obj):
     """(state, moves function, kind tag, slope signature) for an object."""
     if isinstance(obj, (Named, Generic)):
         return obj, legclass_moves, "class", ()
-    if isinstance(obj, CableClass):
-        return obj, _cable_moves, "cable", (obj.p, obj.q)
     if isinstance(obj, GreaterLink):
         return _greater_state(obj), _greater_moves, "greater-link", (obj.n, obj.p, obj.q)
     if isinstance(obj, IntegerLink):
@@ -282,7 +267,7 @@ def closure_equal(atlas, obj1, obj2, budget: Optional[SearchBudget] = None) -> V
         return Verdict.yes("orbits intersect")
     if not ok1 or not ok2:
         return Verdict.maybe("budget exceeded before both orbits were explored")
-    if kind1 in ("class", "cable", "greater-link"):
+    if kind1 in ("class", "greater-link"):
         return Verdict.no("orbits disjoint and fully explored")
     if kind1 == "integer-link":
         if _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
@@ -305,8 +290,6 @@ def closure_equal(atlas, obj1, obj2, budget: Optional[SearchBudget] = None) -> V
 def _inv_key(atlas, obj) -> tuple:
     if isinstance(obj, (Named, Generic)):
         return tuple(invariants(atlas, obj))
-    if isinstance(obj, CableClass):
-        return tuple(cable_invariants(atlas, obj))
     return tuple(sorted(component_invariants(atlas, obj)))
 
 
@@ -421,32 +404,34 @@ def brute_mountain_range(atlas, tb_min: int, budget: Optional[SearchBudget] = No
         point: _quotient_count(atlas, pres_list, legclass_moves, budget)
         for point, pres_list in buckets.items()
     }
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, truncated=truncated)
+    return from_counts(entries, tb_min)
 
 
 def brute_cable_mountain_range(
     atlas, p: int, q: int, tb_min: int, budget: Optional[SearchBudget] = None
 ) -> MountainRange:
-    """Greater-cable range from stabilizations of peak cables plus closure."""
+    """Greater-cable range from stabilizations of peak cables plus closure.
+
+    A cable knot is a 1-component greater link, so its presentations are
+    the n = 1 states of the greater-link move set.
+    """
     budget = budget or SearchBudget()
     buckets: dict[tuple[int, int], list] = {}
     for g in peaks(atlas):
-        top = CableClass(Named(g.id), p, q, 0, 0)
-        _, tb_top = cable_invariants(atlas, top)
+        top = GreaterLink(Named(g.id), 1, p, q, ((0, 0),))
+        _, tb_top = component_invariants(atlas, top)[0]
         for i in range(tb_top - tb_min + 1):
             for j in range(tb_top - tb_min - i + 1):
-                pres = CableClass(Named(g.id), p, q, i, j)
-                rot, tb = cable_invariants(atlas, pres)
+                pres = GreaterLink(Named(g.id), 1, p, q, ((i, j),))
+                rot, tb = component_invariants(atlas, pres)[0]
                 if tb < tb_min:
                     continue
-                buckets.setdefault((rot, tb), []).append(pres)
+                buckets.setdefault((rot, tb), []).append(_greater_state(pres))
     entries = {
-        point: _quotient_count(atlas, pres_list, _cable_moves, budget)
+        point: _quotient_count(atlas, pres_list, _greater_moves, budget)
         for point, pres_list in buckets.items()
     }
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, truncated=truncated)
+    return from_counts(entries, tb_min)
 
 
 def brute_lesser_mountain_range(
@@ -468,8 +453,7 @@ def brute_lesser_mountain_range(
         point: _quotient_count(atlas, pres_list, _lesser_moves, budget)
         for point, pres_list in buckets.items()
     }
-    truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, truncated=truncated)
+    return from_counts(entries, tb_min)
 
 
 def _lesser_pres_rot(atlas, state) -> int:

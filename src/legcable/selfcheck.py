@@ -27,18 +27,19 @@ from .atlas import (
     stabilize,
 )
 from .cables import (
-    cable_equal,
-    cable_invariants,
     cable_mountain_range,
-    cable_stabilize,
-    greater_cable,
     lesser_mountain_range,
     lesser_thresholds,
     twisted_copy,
     window_classes,
 )
 from .links import (
+    GreaterLink,
+    IntegerLink,
+    LesserLink,
+    canonicalize,
     component_class,
+    component_invariants,
     componentwise_isotopic,
     enumerate_nondestab_links,
     isotopic,
@@ -46,6 +47,7 @@ from .links import (
     make_greater_link,
     make_integer_link,
     make_lesser_link,
+    stabilize_component,
 )
 from .oracle import SearchBudget, check_confluence, closure_equal
 
@@ -228,8 +230,6 @@ def check_positive_window_structure() -> CheckResult:
         minus = make_lesser_link(atlas, Named(f"P{i}"), NEG, 1, p, q, ((p - q, 0),))
         if not isotopic(atlas, plus, minus).is_isotopic:
             failures.append(f"S-^(p-q)(L+_{i}) != S+^(p-q)(L-_{i})")
-    from .links import canonicalize
-
     collapsed = {
         repr(canonicalize(atlas, make_lesser_link(atlas, Named(f"P{i}"), POS, 1, p, q, ((q, 0),))))
         for i in (1, 2)
@@ -338,8 +338,6 @@ def _sample_lesser(rng, atlas, n, p, q):
 
 def _representation_twin(rng, atlas, link):
     """A different presentation of the same link, built from a known identity."""
-    from .links import GreaterLink, IntegerLink, LesserLink
-
     if isinstance(link, GreaterLink):
         u = stabilize(atlas, link.u, POS, 1)
         vec = tuple((a + link.p, b) for a, b in link.vec)
@@ -432,13 +430,13 @@ def check_structural_invariants() -> CheckResult:
                 while gcd(p, q) != 1:
                     q += 1
                 for sign in (POS, NEG):
-                    lhs = cable_stabilize(
-                        atlas, greater_cable(atlas, Named(g.id), p, q), sign, p
+                    lhs = stabilize_component(
+                        atlas, make_greater_link(atlas, Named(g.id), 1, p, q), 1, sign, p
                     )
-                    rhs = greater_cable(
-                        atlas, stabilize(atlas, Named(g.id), sign, 1), p, q
+                    rhs = make_greater_link(
+                        atlas, stabilize(atlas, Named(g.id), sign, 1), 1, p, q
                     )
-                    if not cable_equal(atlas, lhs, rhs):
+                    if not isotopic(atlas, lhs, rhs).is_isotopic:
                         failures.append(f"{name} {g.id} ({p},{q}) sign {sign}: diamond")
         # parity through stabilization chains and cables
         for L in _sample_classes(atlas):
@@ -451,9 +449,10 @@ def check_structural_invariants() -> CheckResult:
                     failures.append(f"{name}: parity broken by stabilization")
         p, q = _greater_slopes(atlas)[2]
         for u in _sample_classes(atlas, levels=2, per_level=2):
-            c = greater_cable(atlas, u, p, q)
+            c = make_greater_link(atlas, u, 1, p, q)
             for sign in (POS, NEG):
-                rot2, tb2 = cable_invariants(atlas, cable_stabilize(atlas, c, sign, 3))
+                stabilized = stabilize_component(atlas, c, 1, sign, 3)
+                rot2, tb2 = component_invariants(atlas, stabilized)[0]
                 if (rot2 + tb2) % 2 == 0:
                     failures.append(f"{name}: cable parity broken")
         # all components of a maximal peak link lie in one class, all regimes
@@ -461,7 +460,7 @@ def check_structural_invariants() -> CheckResult:
             for p, q in (_greater_slopes(atlas)[0],):
                 for link in enumerate_nondestab_links(atlas, n, p, q):
                     ks = [component_class(atlas, link, c + 1) for c in range(n)]
-                    if any(not cable_equal(atlas, ks[0], kk) for kk in ks[1:]):
+                    if any(not isotopic(atlas, ks[0], kk).is_isotopic for kk in ks[1:]):
                         failures.append(f"{name}: greater peak link components differ")
             q = atlas.tbb - 1
             for link in enumerate_nondestab_links(atlas, n, 1, q):

@@ -1,32 +1,37 @@
-"""Slope regimes, greater cables and diamonds, twisted copies, lesser cables."""
+"""Slope regimes, greater cables and diamonds, twisted copies, lesser cables.
+
+A cable knot is a 1-component cable link, so the knot cases run on the
+n = 1 link API.
+"""
 
 import pytest
 
 from legcable import (
-    CableClass,
+    DIVIDE,
     Generic,
     Named,
     NEG,
     POS,
+    RULING,
     Regime,
     builtin_atlas,
-    cable_equal,
-    cable_invariants,
     cable_mountain_range,
-    cable_stabilize,
-    greater_cable,
+    canonicalize,
+    component_invariants,
     invariants,
-    lesser_cable,
-    lesser_invariants,
+    isotopic,
     lesser_mountain_range,
     lesser_thresholds,
+    make_greater_link,
+    make_integer_link,
+    make_lesser_link,
     regime,
     stabilize,
+    stabilize_component,
     twisted_copy,
     window_classes,
 )
-from legcable.cables import integer_component_invariants
-from legcable.errors import NotReduced, SlopeMismatch, WrongRegime, WrongWindow
+from legcable.errors import NotReduced, RegimeMismatch, WrongRegime, WrongWindow
 from legcable.oracle import brute_cable_mountain_range
 
 
@@ -73,35 +78,50 @@ def test_regime_rejects_unreduced_slopes():
         regime(un, 0, 1)
 
 
+def cable(atlas, u, p, q, i=0, j=0):
+    """The greater (p, q)-cable knot of ``u`` with diamond coordinates (i, j)."""
+    return make_greater_link(atlas, u, 1, p, q, ((i, j),))
+
+
+def lesser(atlas, base, sign, p, q):
+    """The standard (p, q)-cable knot of a window class."""
+    return make_lesser_link(atlas, base, sign, 1, p, q)
+
+
+def knot_invariants(atlas, knot):
+    (rot_tb,) = component_invariants(atlas, knot)
+    return rot_tb
+
+
 def test_greater_cable_formulas():
     un = builtin_atlas("unknot")
-    c = greater_cable(un, Named("U"), 2, 3)
-    assert cable_invariants(un, c) == (0, 1)  # 6 - 5
+    c = cable(un, Named("U"), 2, 3)
+    assert knot_invariants(un, c) == (0, 1)  # 6 - 5
     k5 = builtin_atlas("k-minus-5")
-    assert cable_invariants(k5, greater_cable(k5, Named("A"), 2, 1)) == (0, -5)
+    assert knot_invariants(k5, cable(k5, Named("A"), 2, 1)) == (0, -5)
     # a (1, q) greater cable carries the invariants of the core
-    c1 = greater_cable(un, Named("U"), 1, 3)
-    assert cable_invariants(un, c1) == invariants(un, Named("U"))
+    c1 = cable(un, Named("U"), 1, 3)
+    assert knot_invariants(un, c1) == invariants(un, Named("U"))
 
 
 def test_greater_cable_wrong_regime():
     tw2 = builtin_atlas("twist-even-2")
     with pytest.raises(WrongRegime):
-        greater_cable(tw2, Named("P1"), 2, -3)
+        cable(tw2, Named("P1"), 2, -3)
 
 
-def test_cable_stabilize_pushes_after_p_steps():
+def test_cable_knot_stabilization_pushes_after_p_steps():
     k5 = builtin_atlas("k-minus-5")
-    c = greater_cable(k5, Named("A"), 2, 1)
-    twice = cable_stabilize(k5, c, POS, 2)
-    assert cable_equal(k5, twice, greater_cable(k5, stabilize(k5, Named("A"), POS, 1), 2, 1))
-    once = cable_stabilize(k5, c, POS, 1)
-    assert (once.i, once.j) == (1, 0)
-    assert cable_invariants(k5, once) == (1, -6)
+    c = cable(k5, Named("A"), 2, 1)
+    twice = stabilize_component(k5, c, 1, POS, 2)
+    assert isotopic(k5, twice, cable(k5, stabilize(k5, Named("A"), POS, 1), 2, 1)).is_isotopic
+    once = stabilize_component(k5, c, 1, POS, 1)
+    assert once.vec == ((1, 0),)
+    assert knot_invariants(k5, once) == (1, -6)
     # p = 1: every stabilization pushes straight into the underlying knot
     un = builtin_atlas("unknot")
-    c1 = cable_stabilize(un, greater_cable(un, Named("U"), 1, 3), POS, 1)
-    assert (c1.i, c1.j) == (0, 0)
+    c1 = stabilize_component(un, cable(un, Named("U"), 1, 3), 1, POS, 1)
+    assert c1.vec == ((0, 0),)
     assert is_stabilized_core(un, c1)
 
 
@@ -109,17 +129,16 @@ def is_stabilized_core(atlas, c):
     return invariants(atlas, c.u) == (1, -2)
 
 
-def test_cable_equal_examples():
+def test_cable_knot_isotopy_examples():
     k5 = builtin_atlas("k-minus-5")
-    a = CableClass(Named("A"), 2, 1, 1, 0)
-    b = CableClass(Named("B"), 2, 1, 1, 0)
-    assert not cable_equal(k5, a, b)
-    pushed = CableClass(Named("A"), 2, 1, 2, 0)
-    resolved = cable_stabilize(k5, CableClass(Named("A"), 2, 1, 0, 0), POS, 2)
-    assert cable_equal(k5, resolved, greater_cable(k5, stabilize(k5, Named("A"), POS, 1), 2, 1))
-    assert cable_equal(k5, a, a)
-    with pytest.raises(SlopeMismatch):
-        cable_equal(k5, a, CableClass(Named("A"), 2, 3, 1, 0))
+    a = cable(k5, Named("A"), 2, 1, 1, 0)
+    b = cable(k5, Named("B"), 2, 1, 1, 0)
+    assert not isotopic(k5, a, b).is_isotopic
+    resolved = stabilize_component(k5, cable(k5, Named("A"), 2, 1), 1, POS, 2)
+    assert isotopic(k5, resolved, cable(k5, stabilize(k5, Named("A"), POS, 1), 2, 1)).is_isotopic
+    assert isotopic(k5, a, a).is_isotopic
+    with pytest.raises(RegimeMismatch):
+        isotopic(k5, a, cable(k5, Named("A"), 2, 3, 1, 0))
 
 
 def test_diamond_has_p_squared_distinct_classes():
@@ -128,7 +147,7 @@ def test_diamond_has_p_squared_distinct_classes():
         seen = set()
         for i in range(p):
             for j in range(p):
-                seen.add(cable_invariants(k5, CableClass(Named("A"), p, q, i, j)))
+                seen.add(knot_invariants(k5, cable(k5, Named("A"), p, q, i, j)))
         assert len(seen) == p * p
 
 
@@ -163,21 +182,26 @@ def test_greater_stabilization_consistency_up_to_p4():
                 while gcd(p, q) != 1:
                     q += 1
                 for sign in (POS, NEG):
-                    lhs = cable_stabilize(atlas, greater_cable(atlas, Named(g.id), p, q), sign, p)
-                    rhs = greater_cable(atlas, stabilize(atlas, Named(g.id), sign, 1), p, q)
-                    assert cable_invariants(atlas, lhs) == cable_invariants(atlas, rhs)
-                    assert cable_equal(atlas, lhs, rhs)
+                    lhs = stabilize_component(atlas, cable(atlas, Named(g.id), p, q), 1, sign, p)
+                    rhs = cable(atlas, stabilize(atlas, Named(g.id), sign, 1), p, q)
+                    assert knot_invariants(atlas, lhs) == knot_invariants(atlas, rhs)
+                    assert isotopic(atlas, lhs, rhs).is_isotopic
+
+
+def copy_invariants(atlas, base):
+    """Component invariants of the unstabilized twisted copy."""
+    return component_invariants(atlas, make_integer_link(atlas, base))
 
 
 def test_twisted_copy_component_invariants():
     tw2 = builtin_atlas("twist-even-2")
     base = twisted_copy(tw2, Named("P1"), 2, 1)
-    assert integer_component_invariants(tw2, base) == [(0, 1), (0, -1)]
+    assert copy_invariants(tw2, base) == [(0, 1), (0, -1)]
     un = builtin_atlas("unknot")
     base = twisted_copy(un, Named("U"), 2, 2)
-    assert integer_component_invariants(un, base) == [(0, -1), (0, -5)]
+    assert copy_invariants(un, base) == [(0, -1), (0, -5)]
     ncopy = twisted_copy(un, Named("U"), 3, 0)
-    assert integer_component_invariants(un, ncopy) == [(0, -1)] * 3
+    assert copy_invariants(un, ncopy) == [(0, -1)] * 3
     assert ncopy.q == -1
 
 
@@ -188,32 +212,32 @@ def test_twisted_copy_satisfies_both_stabilization_identities():
     for t in (1, 2, 3):
         for n in (2, 3):
             base = twisted_copy(tw2, Named("P1"), n, t)
-            lhs = integer_component_invariants(tw2, base)
+            lhs = copy_invariants(tw2, base)
             for sign in (POS, NEG):
                 up = twisted_copy(tw2, stabilize(tw2, Named("P1"), sign, 1), n, t - 1)
-                rhs = integer_component_invariants(tw2, up)
+                rhs = copy_invariants(tw2, up)
                 # comp 1 stabilized on the left, comps 2..n on the right
                 got_l = [(lhs[0][0] + sign, lhs[0][1] - 1)] + lhs[1:]
                 got_r = [rhs[0]] + [(r - sign, tb - 1) for r, tb in rhs[1:]]
                 assert got_l == got_r
 
 
-def test_lesser_cable_examples():
+def test_lesser_knot_examples():
     tw2 = builtin_atlas("twist-even-2")
-    c = lesser_cable(tw2, Generic(0, -1), POS, 2, -3)
-    assert lesser_invariants(tw2, c) == (1, -6)
+    c = lesser(tw2, Generic(0, -1), POS, 2, -3)
+    assert knot_invariants(tw2, c) == (1, -6)
     right = Named("R1", 1, 0)  # the right-edge class at tb = -1
-    assert lesser_invariants(tw2, lesser_cable(tw2, right, POS, 2, -3)) == (5, -6)
-    assert lesser_invariants(tw2, lesser_cable(tw2, right, NEG, 2, -3)) == (3, -6)
+    assert knot_invariants(tw2, lesser(tw2, right, POS, 2, -3)) == (5, -6)
+    assert knot_invariants(tw2, lesser(tw2, right, NEG, 2, -3)) == (3, -6)
 
 
-def test_lesser_cable_window_and_regime_errors():
+def test_lesser_knot_window_and_regime_errors():
     tw2 = builtin_atlas("twist-even-2")
     with pytest.raises(WrongWindow):
-        lesser_cable(tw2, Named("P1"), POS, 2, -3)  # tb 1, window is -1
+        lesser(tw2, Named("P1"), POS, 2, -3)  # tb 1, window is -1
     un = builtin_atlas("unknot")
     with pytest.raises(WrongRegime):
-        lesser_cable(un, Named("U"), POS, 2, -3)
+        lesser(un, Named("U"), POS, 2, -3)
     with pytest.raises(WrongRegime):
         lesser_mountain_range(un, 2, -3, -8)
 
@@ -226,25 +250,21 @@ def test_lesser_rotation_window_property():
         for w in window_classes(tw2, p, q):
             rot_w, tb_w = invariants(tw2, w)
             for sign in (POS, NEG):
-                c = lesser_cable(tw2, w, sign, p, q)
-                rot, tb = lesser_invariants(tw2, c)
+                c = lesser(tw2, w, sign, p, q)
+                rot, tb = knot_invariants(tw2, c)
                 assert abs(rot - p * rot_w) == p * tb_w - q
                 assert 0 < p * tb_w - q < p
                 assert (rot + tb) % 2 == 1
 
 
 def test_lesser_canonical_form_reaches_ruling():
-    from legcable import lesser_canonical_form, lesser_stabilize
-    from legcable.links import RULING
-
     tw2 = builtin_atlas("twist-even-2")
-    c = lesser_cable(tw2, Generic(0, -1), POS, 2, -3)
+    c = lesser(tw2, Generic(0, -1), POS, 2, -3)
     th0, _ = lesser_thresholds(tw2, 2, -3)
-    deep = lesser_stabilize(tw2, c, NEG, th0)
-    form = lesser_canonical_form(tw2, deep)
+    form = stabilize_component(tw2, c, 1, NEG, th0)
     assert form.form == RULING and form.vec == ((0, 0),)
-    shallow = lesser_canonical_form(tw2, c)
-    assert shallow.form == "divide" and shallow.sign == POS
+    shallow = canonicalize(tw2, c)
+    assert shallow.form == DIVIDE and shallow.sign == POS
 
 
 def test_lesser_thresholds_sum_to_p():
@@ -259,10 +279,10 @@ def test_parity_of_all_cable_constructions():
     k5 = builtin_atlas("k-minus-5")
     for i in range(2):
         for j in range(2):
-            rot, tb = cable_invariants(k5, CableClass(Named("A"), 2, 1, i, j))
+            rot, tb = knot_invariants(k5, cable(k5, Named("A"), 2, 1, i, j))
             assert (rot + tb) % 2 == 1
     tw2 = builtin_atlas("twist-even-2")
     for w in window_classes(tw2, 2, -3):
         for sign in (POS, NEG):
-            rot, tb = lesser_invariants(tw2, lesser_cable(tw2, w, sign, 2, -3))
+            rot, tb = knot_invariants(tw2, lesser(tw2, w, sign, 2, -3))
             assert (rot + tb) % 2 == 1

@@ -1,6 +1,7 @@
 """Link canonicalization, isotopy verdicts, components, and permutations."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -34,7 +35,6 @@ from legcable import (
     stabilize_component,
     twisted_copy,
 )
-from legcable.cables import cable_invariants
 from legcable.errors import (
     BadIndex,
     LengthMismatch,
@@ -301,8 +301,8 @@ def test_component_class_examples():
     k5a = k5()
     link = make_greater_link(k5a, Named("A"), 2, 2, 1, ((1, 0), (0, 0)))
     comp = component_class(k5a, link, 1)
-    assert (comp.i, comp.j) == (1, 0)
-    assert cable_invariants(k5a, comp) == (1, -6)
+    assert comp.vec == ((1, 0),)
+    assert component_invariants(k5a, comp) == [(1, -6)]
     ncopy = make_integer_link(atlas, twisted_copy(atlas, Named("R1"), 3, 0))
     assert all(component_class(atlas, ncopy, c) == Named("R1") for c in (1, 2, 3))
     with pytest.raises(BadIndex):
@@ -315,6 +315,64 @@ def test_componentwise_isotopic_basics():
     assert componentwise_isotopic(atlas, a, a)
     b = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1), ((1, 0), (0, 0)))
     assert not componentwise_isotopic(atlas, a, b)
+
+
+def test_componentwise_isotopic_many_components_without_a_match():
+    # no bijection exists, and there are 12! candidates to rule out
+    atlas = k5()
+    a = make_greater_link(atlas, Named("A"), 12, 2, 1, ((1, 0),) * 12)
+    b = make_greater_link(atlas, Named("A"), 12, 2, 1, ((1, 0),) * 11 + ((0, 1),))
+    assert not componentwise_isotopic(atlas, a, b)
+
+
+def bijection_reference(atlas, link1, link2, same) -> bool:
+    """Componentwise isotopy by trying every bijection of components."""
+    n = len(link1.vec)
+    k1 = [component_class(atlas, link1, c) for c in range(1, n + 1)]
+    k2 = [component_class(atlas, link2, c) for c in range(1, n + 1)]
+    return any(
+        all(same(atlas, k1[i], k2[perm[i]]) for i in range(n))
+        for perm in permutations(range(n))
+    )
+
+
+def same_knot(atlas, x, y) -> bool:
+    return isotopic(atlas, x, y).is_isotopic
+
+
+def test_componentwise_isotopic_matches_bijection_reference():
+    rng = random.Random(7)
+
+    def greater(atlas, vec):
+        return make_greater_link(atlas, rng.choice([Named("A"), Named("B")]), len(vec), 2, 1, vec)
+
+    def integer(atlas, vec):
+        L, t = rng.choice([(Named("P1"), 1), (Named("R1"), 0), (Named("L1"), 0)])
+        base = twisted_copy(atlas, L, len(vec), t)
+        return make_integer_link(atlas, base, vec)
+
+    def lesser(atlas, vec):
+        w = rng.choice([Generic(0, -1), Named("R1", 1, 0)])
+        return make_lesser_link(atlas, w, rng.choice([POS, NEG]), len(vec), 2, -3, vec)
+
+    for atlas, build, same in (
+        (k5(), greater, same_knot),
+        (tw(), integer, is_equal),
+        (tw(), lesser, same_knot),
+    ):
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            vec = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n))
+            other = list(vec)
+            rng.shuffle(other)
+            if rng.random() < 0.3:
+                other[0] = (rng.randint(0, 3), rng.randint(0, 3))
+            x, y = build(atlas, vec), build(atlas, tuple(other))
+            want = bijection_reference(atlas, x, y, same)
+            assert componentwise_isotopic(atlas, x, y) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 # -- permutations ---------------------------------------------------------------
@@ -374,7 +432,7 @@ def test_max_tb_peak_links_have_constant_components():
     atlas = tw(3)
     for link in enumerate_nondestab_links(atlas, 3, 2, 3):  # greater
         classes = [component_class(atlas, link, c) for c in (1, 2, 3)]
-        assert all((k.u, k.i, k.j) == (classes[0].u, 0, 0) for k in classes)
+        assert all((k.u, k.vec) == (classes[0].u, ((0, 0),)) for k in classes)
     for link in enumerate_nondestab_links(atlas, 3, 1, 0):  # integer
         if link.base.t == 0:
             classes = [component_class(atlas, link, c) for c in (1, 2, 3)]

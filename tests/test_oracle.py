@@ -3,7 +3,6 @@
 import pytest
 
 from legcable import (
-    CableClass,
     Generic,
     Named,
     SearchBudget,
@@ -30,8 +29,8 @@ def test_closure_equal_atlas_examples():
     assert v.is_isotopic
     assert v.witness and len(v.witness["path"]) >= 2
     k5 = builtin_atlas("k-minus-5")
-    a = CableClass(Named("A"), 2, 1, 1, 0)
-    b = CableClass(Named("B"), 2, 1, 1, 0)
+    a = make_greater_link(k5, Named("A"), 1, 2, 1, ((1, 0),))
+    b = make_greater_link(k5, Named("B"), 1, 2, 1, ((1, 0),))
     assert closure_equal(k5, a, b, SearchBudget(depth=6)).is_not_isotopic
     assert closure_equal(k5, a, a).is_isotopic
 
@@ -58,12 +57,12 @@ def test_closure_equal_witness_replays():
 def test_closure_equal_kind_mismatch():
     tw2 = builtin_atlas("twist-even-2")
     with pytest.raises(KindMismatch):
-        closure_equal(tw2, Named("P1"), CableClass(Named("P1"), 1, 2, 0, 0))
+        closure_equal(tw2, Named("P1"), make_greater_link(tw2, Named("P1"), 1, 1, 2))
     with pytest.raises(KindMismatch):
         closure_equal(
             tw2,
-            CableClass(Named("P1"), 2, 3, 0, 0),
-            CableClass(Named("P1"), 2, 5, 0, 0),
+            make_greater_link(tw2, Named("P1"), 1, 2, 3),
+            make_greater_link(tw2, Named("P1"), 1, 2, 5),
         )
 
 

@@ -13,7 +13,7 @@ from legcable import (
     svg_entries,
     svg_mountain,
 )
-from legcable.errors import EmptyRange, ParityViolation
+from legcable.errors import EmptyRange, EngineError, InvalidMultiplicity, ParityViolation
 
 
 def test_ascii_rows_and_digits():
@@ -43,6 +43,12 @@ def test_ascii_empty_range():
 def test_mountain_range_rejects_even_parity():
     with pytest.raises(ParityViolation):
         MountainRange(entries={(0, 2): 1}, tb_min=0)
+
+
+def test_mountain_range_rejects_zero_multiplicity_as_engine_error():
+    with pytest.raises(EngineError) as caught:
+        MountainRange(entries={(0, 1): 0}, tb_min=0)
+    assert isinstance(caught.value, InvalidMultiplicity)
 
 
 def test_svg_round_trip_is_lossless():
