@@ -40,13 +40,11 @@ from .atlas import (
     unknot_atlas,
 )
 from .cables import (
-    IntegerLinkBase,
     Regime,
     cable_mountain_range,
     lesser_mountain_range,
     lesser_thresholds,
     regime,
-    twisted_copy,
     window_classes,
 )
 from .errors import EngineError

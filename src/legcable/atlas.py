@@ -18,12 +18,14 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import (
     CutoffAbovePeak,
+    DOCUMENT_ERRORS,
     DuplicateId,
     InvariantMismatch,
     MetadataInconsistent,
     ParityViolation,
     UnknownGenerator,
     UnsupportedKind,
+    malformed,
 )
 from .mountain import MountainRange, tally
 
@@ -110,11 +112,13 @@ class KnotAtlas:
     sigma_minus: tuple[str, ...] = ()
     both_signs_determined: bool = False
     _by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    _order: dict = field(default_factory=dict, repr=False, compare=False)
     _rules_by_src: dict = field(default_factory=dict, repr=False, compare=False)
     _surgery: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_id = {g.id: g for g in self.generators}
+        self._order = {g.id: i for i, g in enumerate(self.generators)}
         self._rules_by_src = {}
         for rule in self.rules:
             self._rules_by_src.setdefault(rule.src, []).append(rule)
@@ -151,7 +155,15 @@ def make_atlas(spec: dict) -> KnotAtlas:
     [{src, da, db, dst}] with dst a generator id or "generic", tbb,
     width_ceiling, uniformly_thick, and optionally surgery_distinct
     [{a, b, value}], sigma_plus, sigma_minus, both_signs_determined.
+    A missing or mistyped field raises MalformedDocument.
     """
+    try:
+        return _atlas_from_spec(spec)
+    except DOCUMENT_ERRORS as exc:
+        raise malformed("atlas document", exc) from None
+
+
+def _atlas_from_spec(spec: dict) -> KnotAtlas:
     gens = []
     seen = set()
     for g in spec.get("generators", []):
@@ -417,8 +429,7 @@ def class_key(atlas: KnotAtlas, c: LegClass) -> tuple:
     """Deterministic sort/identity key of a normal form."""
     c = normalize(atlas, c)
     if isinstance(c, Named):
-        order = {g.id: i for i, g in enumerate(atlas.generators)}
-        return (0, order[c.gen], c.plus, c.minus)
+        return (0, atlas._order[c.gen], c.plus, c.minus)
     return (1, c.rot, c.tb)
 
 
@@ -528,9 +539,12 @@ def class_to_json(c: LegClass) -> dict:
 
 
 def class_from_json(doc: dict) -> LegClass:
-    if "gen" in doc:
-        return Named(str(doc["gen"]), int(doc.get("plus", 0)), int(doc.get("minus", 0)))
-    return Generic(int(doc["rot"]), int(doc["tb"]))
+    try:
+        if "gen" in doc:
+            return Named(str(doc["gen"]), int(doc.get("plus", 0)), int(doc.get("minus", 0)))
+        return Generic(int(doc["rot"]), int(doc["tb"]))
+    except DOCUMENT_ERRORS as exc:
+        raise malformed("class document", exc) from None
 
 
 def atlas_to_json(atlas: KnotAtlas) -> dict:

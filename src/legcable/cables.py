@@ -2,9 +2,8 @@
 
 A cable knot is the n = 1 case of the (np, nq)-cable links in ``links``.
 This module holds what the link types and the mountain ranges share, none
-of which needs a link type: the slope regimes, the twisted-copy base of
-integer-sloped cables, the lesser thresholds, and the invariants of the
-unstabilized cable of a class.
+of which needs a link type: the slope regimes, the lesser thresholds, and
+the invariants of the unstabilized cable of a class.
 
 Greater-sloped cables (q/p above the width ceiling) come with a p-by-p
 diamond of stabilization classes over the underlying knot; integer-sloped
@@ -22,7 +21,6 @@ and by the p = 1 case, where the cable is the core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -36,7 +34,6 @@ from .atlas import (
     class_label,
     classes_at_tb,
     invariants,
-    normalize,
 )
 from .errors import NotReduced, WrongRegime
 from .mountain import MountainRange, tally
@@ -106,34 +103,6 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
         for u in classes_at_tb(atlas, tb_u)
     ]
     return tally(sorted(_stabilized(cells)), tb_min)
-
-
-# ---------------------------------------------------------------------------
-# Integer lesser-sloped cables (twisted n-copies)
-
-
-@dataclass(frozen=True)
-class IntegerLinkBase:
-    """The t-twisted n-copy of L: the (n, nq)-cable with q = tb(L) - t.
-
-    Component 1 is the core; components 2..n are ruling curves of slope
-    tb(L) - t, each in the class of L stabilized t times with both signs,
-    so their invariants are (rot(L), tb(L) - 2t).  Components are ordered
-    cyclically as they occur on the torus, in construction order.
-    """
-
-    L: LegClass
-    n: int
-    t: int
-    q: int
-
-
-def twisted_copy(atlas: KnotAtlas, L: LegClass, n: int, t: int) -> IntegerLinkBase:
-    if n < 1 or t < 0:
-        raise WrongRegime(f"twisted copy needs n >= 1 and t >= 0, got n={n}, t={t}")
-    L = normalize(atlas, L)
-    _, tb = invariants(atlas, L)
-    return IntegerLinkBase(L=L, n=n, t=t, q=tb - t)
 
 
 # ---------------------------------------------------------------------------

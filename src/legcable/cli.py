@@ -57,7 +57,7 @@ def _load_link_doc(atlas, text: str, vec_override: str | None = None):
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     doc = json.loads(text)
-    if vec_override is not None:
+    if vec_override is not None and isinstance(doc, dict):
         doc["vec"] = json.loads(vec_override)
     return make_link(atlas, doc)
 
@@ -114,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     def link_flags(sp):
         sp.add_argument("--vec", default=None,
                         help="JSON stabilization vector overriding the documents'")
-        sp.add_argument("--budget", type=int, default=4000,
-                        help="node cap for presentation searches")
         return sp
 
     sp = link_flags(common(sub.add_parser("isotopic",
                                           help="decide Legendrian isotopy of two links")))
+    sp.add_argument("--budget", type=int, default=4000,
+                    help="node cap for presentation searches")
     sp.add_argument("link1", help="link JSON document or @file")
     sp.add_argument("link2", help="link JSON document or @file")
 

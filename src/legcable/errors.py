@@ -57,6 +57,22 @@ class LengthMismatch(EngineError):
     """Stabilization vector length differs from the component count."""
 
 
+class MalformedDocument(EngineError):
+    """A link, class or atlas document lacks a field or has one of the wrong type."""
+
+
+# What reading a field of a parsed JSON document raises when the field is
+# missing or has the wrong type.
+DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def malformed(what: str, exc: Exception) -> MalformedDocument:
+    """The MalformedDocument for one of DOCUMENT_ERRORS raised reading ``what``."""
+    if isinstance(exc, KeyError):
+        return MalformedDocument(f"{what} has no field {exc}")
+    return MalformedDocument(f"malformed {what}: {exc}")
+
+
 class BadIndex(EngineError):
     """Component index out of range."""
 

@@ -7,17 +7,21 @@ canonical forms agree up to a permutation of components.  Ordered questions
 
 Canonical forms per regime:
 
-* greater: while every component has been stabilized p times with one sign,
-  the stabilizations push into the underlying knot;
+* greater: by S_+/-^p(cable(u)) = cable(S_+/-(u)), each full round of p
+  same-sign stabilizations on every component is one stabilization of the
+  underlying knot, so the canonical form pushes k+ = min a // p positive and
+  k- = min b // p negative stabilizations into u in one step;
 * integer-sloped: values are twisted-copy presentations (base class, twist
   count, vector); the identification moves between presentations are not
   confluent as oriented rules, so they are explored as equalities inside the
   decision procedure instead of being normalized away;
-* non-integer lesser: the two standard cables of each window class rewrite
-  to ruling forms at the thresholds theta0 = p tb(w) - q and
-  theta1 = p - theta0, window-level ruling forms shift to the level below
-  (costing theta1 of one sign while granting theta0 of the other), and deep
-  ruling forms reduce by p per sign like greater cables.
+* non-integer lesser: with theta0 = p tb(w) - q and theta1 = p - theta0,
+  both in [1, p - 1], a standard cable of a window class becomes a ruling
+  form once every component carries theta0 of the opposite sign (base
+  unchanged) or else theta1 of its own sign (base stabilized once); a
+  ruling form over a window class then shifts at most once to the level
+  below (costing theta1 of one sign while granting theta0 of the other);
+  deep ruling forms take the same one-step push as greater cables.
 
 Verdicts are three-valued; Unknown is returned exactly where the underlying
 classification is silent, with a reason naming the silent clause.
@@ -26,8 +30,8 @@ classification is silent, with a reason naming the silent clause.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional, Union
 
 from .atlas import (
     LegClass,
@@ -50,22 +54,23 @@ from .atlas import (
 from .cables import (
     DIVIDE,
     RULING,
-    IntegerLinkBase,
     Regime,
     greater_base_invariants,
     lesser_base_invariants,
     lesser_thresholds,
     regime,
-    twisted_copy,
     window_classes,
 )
 from .errors import (
     BadIndex,
+    DOCUMENT_ERRORS,
     LengthMismatch,
+    MalformedDocument,
     NotAPermutation,
     RegimeMismatch,
     WrongRegime,
     WrongWindow,
+    malformed,
 )
 
 ISOTOPIC = "isotopic"
@@ -128,8 +133,21 @@ class GreaterLink:
 
 @dataclass(frozen=True)
 class IntegerLink:
-    base: IntegerLinkBase
+    """The t-twisted n-copy of L, stabilized by ``vec``: the (n, nq)-cable
+    with q = tb(L) - t.
+
+    Component 1 is the core; components 2..n are ruling curves of slope
+    tb(L) - t, each in the class of L stabilized t times with both signs,
+    so their invariants are (rot(L), tb(L) - 2t).  Components are ordered
+    cyclically as they occur on the torus, in construction order.
+    """
+
+    L: LegClass
+    n: int
+    t: int
+    q: int
     vec: StabVec
+    p: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -151,16 +169,20 @@ Link = Union[GreaterLink, IntegerLink, LesserLink]
 
 
 def _check_vec(vec, n: int) -> StabVec:
-    out = tuple((int(a), int(b)) for a, b in vec)
+    """The validated vector of an n-component link; None means all zeros."""
+    if n < 1:
+        raise LengthMismatch(f"a link needs at least one component, got n={n}")
+    if vec is None:
+        return ((0, 0),) * n
+    try:
+        out = tuple((int(a), int(b)) for a, b in vec)
+    except DOCUMENT_ERRORS as exc:
+        raise malformed("stabilization vector", exc) from None
     if len(out) != n:
         raise LengthMismatch(f"vector has {len(out)} entries for {n} components")
     if any(a < 0 or b < 0 for a, b in out):
         raise LengthMismatch(f"stabilization counts must be nonnegative: {out}")
     return out
-
-
-def zero_vec(n: int) -> StabVec:
-    return tuple((0, 0) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +192,18 @@ def zero_vec(n: int) -> StabVec:
 def make_greater_link(atlas, u: LegClass, n: int, p: int, q: int, vec=None) -> GreaterLink:
     if regime(atlas, p, q) is not Regime.GREATER:
         raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
-    vec = _check_vec(vec if vec is not None else zero_vec(n), n)
-    return GreaterLink(normalize(atlas, u), n, p, q, vec)
+    return GreaterLink(normalize(atlas, u), n, p, q, _check_vec(vec, n))
 
 
-def make_integer_link(atlas, base: IntegerLinkBase, vec=None) -> IntegerLink:
-    if regime(atlas, 1, base.q) is not Regime.INTEGER_LESSER:
-        raise WrongRegime(f"(1,{base.q}) is not an integer lesser slope for {atlas.name}")
-    vec = _check_vec(vec if vec is not None else zero_vec(base.n), base.n)
-    return IntegerLink(base, vec)
+def make_integer_link(atlas, L: LegClass, n: int, t: int, vec=None) -> IntegerLink:
+    """The t-twisted n-copy of L (see IntegerLink), stabilized by ``vec``."""
+    if t < 0:
+        raise WrongRegime(f"twisted copy needs t >= 0, got t={t}")
+    L = normalize(atlas, L)
+    q = invariants(atlas, L).tb - t
+    if regime(atlas, 1, q) is not Regime.INTEGER_LESSER:
+        raise WrongRegime(f"(1,{q}) is not an integer lesser slope for {atlas.name}")
+    return IntegerLink(L, n, t, q, _check_vec(vec, n))
 
 
 def make_lesser_link(
@@ -200,81 +225,73 @@ def make_lesser_link(
         sign = 0
     else:
         raise WrongWindow(f"unknown lesser form {form!r}")
-    vec = _check_vec(vec if vec is not None else zero_vec(n), n)
-    return LesserLink(form, base, sign, n, p, q, vec)
+    return LesserLink(form, base, sign, n, p, q, _check_vec(vec, n))
 
 
 def make_link(atlas, doc: dict) -> Link:
-    """Parse the link interchange document (see link_to_json)."""
-    reg = str(doc["regime"])
-    n = int(doc["n"])
-    p = int(doc.get("p", 1))
-    q = int(doc["q"])
-    vec = doc.get("vec") or zero_vec(n)
-    base = doc.get("base", {})
-    cls = class_from_json(base["class"])
+    """Parse the link interchange document (see link_to_json).
+
+    A document that is not an object, or lacks or mistypes a field, raises
+    MalformedDocument.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"a link document is a JSON object, not {type(doc).__name__}")
+    try:
+        reg = str(doc["regime"])
+        n = int(doc["n"])
+        p = int(doc.get("p", 1))
+        q = int(doc["q"])
+        vec = doc.get("vec") or None  # absent or empty: all zeros
+        base = doc.get("base", {})
+        cls = class_from_json(base["class"])
+        if reg == Regime.INTEGER_LESSER.value:
+            tb = invariants(atlas, cls).tb
+            t = int(base.get("t", tb - q))
+    except DOCUMENT_ERRORS as exc:
+        raise malformed("link document", exc) from None
     if reg == Regime.GREATER.value:
         return make_greater_link(atlas, cls, n, p, q, vec)
     if reg == Regime.INTEGER_LESSER.value:
-        cls = normalize(atlas, cls)
-        _, tb = invariants(atlas, cls)
-        t = int(base.get("t", tb - q))
         if tb - t != q:
             raise RegimeMismatch(f"base tb={tb} with t={t} does not give slope q={q}")
-        return make_integer_link(atlas, twisted_copy(atlas, cls, n, t), vec)
+        return make_integer_link(atlas, cls, n, t, vec)
     if reg == Regime.NONINTEGER_LESSER.value:
         form = str(base.get("form", DIVIDE))
-        sign_txt = base.get("sign", "+")
-        sign = POS if sign_txt in ("+", 1, POS) else NEG
+        sign = POS if base.get("sign", "+") in ("+", POS) else NEG
         return make_lesser_link(atlas, cls, sign, n, p, q, vec, form=form)
     raise RegimeMismatch(f"unknown regime {reg!r}")
 
 
 def link_to_json(atlas, link: Link) -> dict:
     if isinstance(link, GreaterLink):
-        return {
-            "atlas": atlas.name,
-            "regime": Regime.GREATER.value,
-            "p": link.p,
-            "q": link.q,
-            "n": link.n,
-            "base": {"class": class_to_json(link.u)},
-            "vec": [list(ab) for ab in link.vec],
-        }
-    if isinstance(link, IntegerLink):
-        return {
-            "atlas": atlas.name,
-            "regime": Regime.INTEGER_LESSER.value,
-            "p": 1,
-            "q": link.base.q,
-            "n": link.base.n,
-            "base": {"class": class_to_json(link.base.L), "t": link.base.t},
-            "vec": [list(ab) for ab in link.vec],
-        }
-    return {
-        "atlas": atlas.name,
-        "regime": Regime.NONINTEGER_LESSER.value,
-        "p": link.p,
-        "q": link.q,
-        "n": link.n,
-        "base": {
+        reg, base = Regime.GREATER, {"class": class_to_json(link.u)}
+    elif isinstance(link, IntegerLink):
+        reg, base = Regime.INTEGER_LESSER, {"class": class_to_json(link.L), "t": link.t}
+    else:
+        reg = Regime.NONINTEGER_LESSER
+        base = {
             "class": class_to_json(link.base),
             "form": link.form,
             "sign": "+" if link.sign == POS else ("-" if link.sign == NEG else "0"),
-        },
+        }
+    return {
+        "atlas": atlas.name,
+        "regime": reg.value,
+        "p": link.p,
+        "q": link.q,
+        "n": link.n,
+        "base": base,
         "vec": [list(ab) for ab in link.vec],
     }
 
 
 def link_label(atlas, link: Link) -> str:
+    stabs = ",".join(f"+{a}-{b}" for a, b in link.vec)
     if isinstance(link, GreaterLink):
-        stabs = ",".join(f"+{a}-{b}" for a, b in link.vec)
         return f"{class_label(atlas, link.u)}_{link.n}({link.p},{link.q})[{stabs}]"
     if isinstance(link, IntegerLink):
-        stabs = ",".join(f"+{a}-{b}" for a, b in link.vec)
-        return f"T^{link.base.t}({link.base.n}.{class_label(atlas, link.base.L)})[{stabs}]"
+        return f"T^{link.t}({link.n}.{class_label(atlas, link.L)})[{stabs}]"
     sign = {POS: "+", NEG: "-", 0: ""}[link.sign]
-    stabs = ",".join(f"+{a}-{b}" for a, b in link.vec)
     form = "" if link.form == DIVIDE else "rul:"
     return f"{form}{class_label(atlas, link.base)}^{sign}_{link.n}({link.p},{link.q})[{stabs}]"
 
@@ -284,19 +301,26 @@ def link_label(atlas, link: Link) -> str:
 
 
 def component_invariants(atlas, link: Link) -> list[RotTb]:
+    twist = 0
     if isinstance(link, GreaterLink):
         rot0, tb0 = greater_base_invariants(atlas, link.u, link.p, link.q)
-        return [RotTb(rot0 + a - b, tb0 - a - b) for a, b in link.vec]
-    if isinstance(link, IntegerLink):
-        rot, tb = invariants(atlas, link.base.L)
-        t = link.base.t
-        out = []
-        for c, (a, b) in enumerate(link.vec):
-            base_tb = tb if c == 0 else tb - 2 * t
-            out.append(RotTb(rot + a - b, base_tb - a - b))
-        return out
-    rot0, tb0 = lesser_base_invariants(atlas, link.form, link.base, link.sign, link.p, link.q)
-    return [RotTb(rot0 + a - b, tb0 - a - b) for a, b in link.vec]
+    elif isinstance(link, IntegerLink):
+        (rot0, tb0), twist = invariants(atlas, link.L), 2 * link.t
+    else:
+        rot0, tb0 = lesser_base_invariants(
+            atlas, link.form, link.base, link.sign, link.p, link.q
+        )
+    return [
+        RotTb(rot0 + a - b, tb0 - a - b - (twist if c else 0))
+        for c, (a, b) in enumerate(link.vec)
+    ]
+
+
+def _component(link: Link, c: int) -> tuple[int, int]:
+    """The stabilization counts of component ``c`` (1-based)."""
+    if not 1 <= c <= link.n:
+        raise BadIndex(f"component {c} of a link with {link.n} components")
+    return link.vec[c - 1]
 
 
 def component_class(atlas, link: Link, c: int):
@@ -307,47 +331,19 @@ def component_class(atlas, link: Link, c: int):
     canonical n = 1 specialization of the link itself.  Two components are
     proven to be the same class exactly when these values are equal.
     """
-    if not 1 <= c <= _link_n(link):
-        raise BadIndex(f"component {c} of a link with {_link_n(link)} components")
-    a, b = link.vec[c - 1]
-    if isinstance(link, GreaterLink):
-        return canonicalize(atlas, GreaterLink(link.u, 1, link.p, link.q, ((a, b),)))
+    a, b = _component(link, c)
     if isinstance(link, IntegerLink):
-        t = link.base.t if c > 1 else 0
-        return normalize(
-            atlas,
-            stabilize(atlas, stabilize(atlas, link.base.L, POS, t + a), NEG, t + b),
-        )
-    one = LesserLink(link.form, link.base, link.sign, 1, link.p, link.q, ((a, b),))
-    return canonicalize(atlas, one)
-
-
-def _link_n(link: Link) -> int:
-    return link.base.n if isinstance(link, IntegerLink) else link.n
-
-
-def _link_slope(link: Link) -> tuple[int, int]:
-    if isinstance(link, IntegerLink):
-        return (1, link.base.q)
-    return (link.p, link.q)
+        t = link.t if c > 1 else 0
+        return stabilize(atlas, stabilize(atlas, link.L, POS, t + a), NEG, t + b)
+    return canonicalize(atlas, replace(link, n=1, vec=((a, b),)))
 
 
 def stabilize_component(atlas, link: Link, c: int, sign: int, count: int = 1) -> Link:
     """Stabilize one component (1-based index), then canonicalize."""
-    n = _link_n(link)
-    if not 1 <= c <= n:
-        raise BadIndex(f"component {c} of a link with {n} components")
+    a, b = _component(link, c)
     vec = list(link.vec)
-    a, b = vec[c - 1]
     vec[c - 1] = (a + count, b) if sign == POS else (a, b + count)
-    vec = tuple(vec)
-    if isinstance(link, GreaterLink):
-        return canonicalize(atlas, GreaterLink(link.u, link.n, link.p, link.q, vec))
-    if isinstance(link, IntegerLink):
-        return canonicalize(atlas, IntegerLink(link.base, vec))
-    return canonicalize(
-        atlas, LesserLink(link.form, link.base, link.sign, link.n, link.p, link.q, vec)
-    )
+    return canonicalize(atlas, replace(link, vec=tuple(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,79 +356,64 @@ def canonicalize(atlas, link: Link) -> Link:
     if isinstance(link, IntegerLink):
         # Presentation moves are identities, not reductions; they are
         # explored inside the decision procedure.  Only the base normalizes.
-        base = link.base
-        L = normalize(atlas, base.L)
-        if L != base.L:
-            base = IntegerLinkBase(L, base.n, base.t, base.q)
-        return IntegerLink(base, link.vec)
+        return replace(link, L=normalize(atlas, link.L))
     return _canonicalize_lesser(atlas, link)
 
 
+def _fewest(vec: StabVec, sign: int) -> int:
+    """The fewest ``sign`` stabilizations carried by any component."""
+    return min(a for a, _ in vec) if sign == POS else min(b for _, b in vec)
+
+
+def _take(vec: StabVec, sign: int, k: int, give: int = 0) -> StabVec:
+    """``vec`` with k ``sign`` stabilizations taken from every component and
+    ``give`` of the other sign added."""
+    if sign == POS:
+        return tuple((a - k, b + give) for a, b in vec)
+    return tuple((a + give, b - k) for a, b in vec)
+
+
+def _push(atlas, u: LegClass, vec: StabVec, p: int) -> tuple[LegClass, StabVec]:
+    """Push every full round of p same-sign stabilizations into ``u``.
+
+    S_+/-^p on every component is one S_+/- of the underlying class, so
+    k+ = min a // p and k- = min b // p rounds go in at once, positive
+    first; normal forms are unique, so this equals pushing one at a time.
+    ``u`` must be a normal form; it is returned as is when nothing pushes.
+    """
+    ka, kb = _fewest(vec, POS) // p, _fewest(vec, NEG) // p
+    if ka or kb:
+        u = stabilize(atlas, stabilize(atlas, u, POS, ka), NEG, kb)
+        vec = tuple((a - ka * p, b - kb * p) for a, b in vec)
+    return u, vec
+
+
 def _canonicalize_greater(atlas, link: GreaterLink) -> GreaterLink:
-    u = normalize(atlas, link.u)
-    vec = list(link.vec)
-    while all(a >= link.p for a, _ in vec):
-        vec = [(a - link.p, b) for a, b in vec]
-        u = stabilize(atlas, u, POS, 1)
-    while all(b >= link.p for _, b in vec):
-        vec = [(a, b - link.p) for a, b in vec]
-        u = stabilize(atlas, u, NEG, 1)
-    return GreaterLink(u, link.n, link.p, link.q, tuple(vec))
+    u, vec = _push(atlas, normalize(atlas, link.u), link.vec, link.p)
+    return GreaterLink(u, link.n, link.p, link.q, vec)
 
 
 def _canonicalize_lesser(atlas, link: LesserLink) -> LesserLink:
-    p, q = link.p, link.q
-    window = ceil_div(q, p)
-    form, base, sign = link.form, normalize(atlas, link.base), link.sign
-    vec = list(link.vec)
+    p, q, sign = link.p, link.q, link.sign
     th0, th1 = lesser_thresholds(atlas, p, q)
-    while True:
-        if form == DIVIDE:
-            if sign == POS:
-                if all(b >= th0 for _, b in vec):
-                    form, sign = RULING, 0
-                    vec = [(a, b - th0) for a, b in vec]
-                    continue
-                if all(a >= th1 for a, _ in vec):
-                    base = stabilize(atlas, base, POS, 1)
-                    form, sign = RULING, 0
-                    vec = [(a - th1, b) for a, b in vec]
-                    continue
-            else:
-                if all(a >= th0 for a, _ in vec):
-                    form, sign = RULING, 0
-                    vec = [(a - th0, b) for a, b in vec]
-                    continue
-                if all(b >= th1 for _, b in vec):
-                    base = stabilize(atlas, base, NEG, 1)
-                    form, sign = RULING, 0
-                    vec = [(a, b - th1) for a, b in vec]
-                    continue
-            break
-        _, tb_u = invariants(atlas, base)
-        if tb_u == window:
-            # A ruling over a window class is the common theta0-stabilization
-            # of its two standard cables; pushing theta1 of one sign trades
-            # for theta0 of the other while the base drops a level.
-            if all(a >= th1 for a, _ in vec):
-                base = stabilize(atlas, base, POS, 1)
-                vec = [(a - th1, b + th0) for a, b in vec]
-                continue
-            if all(b >= th1 for _, b in vec):
-                base = stabilize(atlas, base, NEG, 1)
-                vec = [(a + th0, b - th1) for a, b in vec]
-                continue
-            break
-        if all(a >= p for a, _ in vec):
-            base = stabilize(atlas, base, POS, 1)
-            vec = [(a - p, b) for a, b in vec]
-            continue
-        if all(b >= p for _, b in vec):
-            base = stabilize(atlas, base, NEG, 1)
-            vec = [(a, b - p) for a, b in vec]
-            continue
-        break
-    return LesserLink(form, base, sign, link.n, p, q, tuple(vec))
+    base, vec = normalize(atlas, link.base), link.vec
+    if link.form == DIVIDE:
+        if _fewest(vec, -sign) >= th0:
+            vec = _take(vec, -sign, th0)
+        elif _fewest(vec, sign) >= th1:
+            base, vec = stabilize(atlas, base, sign, 1), _take(vec, sign, th1)
+        else:
+            return replace(link, base=base)
+    if invariants(atlas, base).tb == ceil_div(q, p):
+        # A ruling over a window class is the common theta0-stabilization
+        # of its two standard cables; pushing theta1 of one sign trades
+        # for theta0 of the other while the base drops below the window.
+        for s in (POS, NEG):
+            if _fewest(vec, s) >= th1:
+                base, vec = stabilize(atlas, base, s, 1), _take(vec, s, th1, give=th0)
+                break
+    base, vec = _push(atlas, base, vec, p)
+    return LesserLink(RULING, base, 0, link.n, p, q, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +490,7 @@ def integer_moves(atlas, state: IntState) -> list[IntState]:
 
 def integer_closure(atlas, link: IntegerLink, node_cap: int = 4000) -> tuple[frozenset, bool]:
     """All presentations of the link; the flag reports full exploration."""
-    start = int_state(atlas, link.base.L, link.base.t, link.vec)
+    start = int_state(atlas, link.L, link.t, link.vec)
     seen = {start}
     frontier = [start]
     complete = True
@@ -548,10 +529,10 @@ def _pattern_tags(vec: StabVec) -> set[str]:
 def _require_comparable(link1: Link, link2: Link) -> None:
     if type(link1) is not type(link2):
         raise RegimeMismatch(f"{type(link1).__name__} vs {type(link2).__name__}")
-    if _link_n(link1) != _link_n(link2):
-        raise RegimeMismatch(f"{_link_n(link1)} vs {_link_n(link2)} components")
-    if _link_slope(link1) != _link_slope(link2):
-        raise RegimeMismatch(f"slopes {_link_slope(link1)} vs {_link_slope(link2)} differ")
+    if link1.n != link2.n:
+        raise RegimeMismatch(f"{link1.n} vs {link2.n} components")
+    if (link1.p, link1.q) != (link2.p, link2.q):
+        raise RegimeMismatch(f"slopes {(link1.p, link1.q)} vs {(link2.p, link2.q)} differ")
 
 
 def isotopic(atlas, link1: Link, link2: Link, node_cap: int = 4000) -> Verdict:
@@ -583,8 +564,7 @@ def _isotopic_greater(atlas, x: GreaterLink, y: GreaterLink) -> Verdict:
 def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> Verdict:
     if _inv_multiset(atlas, x) != _inv_multiset(atlas, y):
         return Verdict.no("component invariant multisets differ")
-    n = x.base.n
-    if n == 1:
+    if x.n == 1:
         if is_equal(atlas, component_class(atlas, x, 1), component_class(atlas, y, 1)):
             return Verdict.yes("single components are the same class")
         return Verdict.no("single components are distinct classes")
@@ -766,14 +746,14 @@ def componentwise_isotopic(atlas, link1: Link, link2: Link) -> bool:
     _require_comparable(link1, link2)
 
     def classes(link: Link) -> Counter:
-        return Counter(component_class(atlas, link, c) for c in range(1, _link_n(link) + 1))
+        return Counter(component_class(atlas, link, c) for c in range(1, link.n + 1))
 
     return classes(link1) == classes(link2)
 
 
 def permutation_realizable(atlas, link: Link, perm) -> Verdict:
     """Whether relabeling components by ``perm`` (1-based) is realizable."""
-    n = _link_n(link)
+    n = link.n
     sigma = [int(v) for v in perm]
     if sorted(sigma) != list(range(1, n + 1)):
         raise NotAPermutation(f"{perm!r} is not a permutation of 1..{n}")
@@ -789,17 +769,21 @@ def permutation_realizable(atlas, link: Link, perm) -> Verdict:
         )
     if not preserving:
         return Verdict.no("permutation moves components with distinct invariants")
-    states, _ = integer_closure(atlas, link)
+    states, complete = integer_closure(atlas, link)
     if not any(s[1] == 0 for s in states):
+        if not complete:
+            return Verdict.maybe(
+                "presentation search exceeded its node budget before finding an "
+                "n-copy presentation"
+            )
         return Verdict.yes("not an n-copy; invariant-preserving permutations are free")
-    q = link.base.q
-    divides = [c for c in range(n) if invs[c].tb == q]
+    divides = [c for c in range(n) if invs[c].tb == link.q]
     if not divides:
         return Verdict.yes(
             "all components of the n-copy are stabilized; invariant-preserving "
             "permutations are free"
         )
-    if q == atlas.tbb:
+    if link.q == atlas.tbb:
         if all(sigma[c] - 1 == c for c in divides):
             return Verdict.yes(
                 "maximal-slope n-copy: unstabilized components fixed, the rest "
@@ -840,7 +824,7 @@ def enumerate_nondestab_links(atlas, n: int, p: int, q: int) -> list[Link]:
         out = []
         for tb in range(atlas.tbb, q - 1, -1):
             for cls in classes_at_tb(atlas, tb):
-                out.append(make_integer_link(atlas, twisted_copy(atlas, cls, n, tb - q)))
+                out.append(make_integer_link(atlas, cls, n, tb - q))
         return out
     if reg is Regime.NONINTEGER_LESSER:
         out = []

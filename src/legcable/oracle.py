@@ -202,8 +202,8 @@ def _dispatch(atlas, obj):
     if isinstance(obj, GreaterLink):
         return _greater_state(obj), _greater_moves, "greater-link", (obj.n, obj.p, obj.q)
     if isinstance(obj, IntegerLink):
-        state = int_state(atlas, obj.base.L, obj.base.t, obj.vec)
-        return state, integer_moves, "integer-link", (obj.base.n, obj.base.q)
+        state = int_state(atlas, obj.L, obj.t, obj.vec)
+        return state, integer_moves, "integer-link", (obj.n, obj.q)
     if isinstance(obj, LesserLink):
         return _lesser_state(obj), _lesser_moves, "lesser-link", (obj.n, obj.p, obj.q)
     raise KindMismatch(f"cannot search over {type(obj).__name__}")

@@ -9,7 +9,7 @@ criterion; the CLI's ``selfcheck`` command prints a PASS/FAIL line for each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .atlas import (
@@ -30,7 +30,6 @@ from .cables import (
     cable_mountain_range,
     lesser_mountain_range,
     lesser_thresholds,
-    twisted_copy,
     window_classes,
 )
 from .links import (
@@ -172,8 +171,8 @@ def check_componentwise_witness() -> CheckResult:
         return CheckResult("componentwise-witness", False, "no peak pair shares both images")
     i, j = pair
     vec = ((1, 0), (0, 1))
-    li = make_integer_link(atlas, twisted_copy(atlas, Named(f"P{i}"), 2, 0), vec)
-    lj = make_integer_link(atlas, twisted_copy(atlas, Named(f"P{j}"), 2, 0), vec)
+    li = make_integer_link(atlas, Named(f"P{i}"), 2, 0, vec)
+    lj = make_integer_link(atlas, Named(f"P{j}"), 2, 0, vec)
     v = isotopic(atlas, li, lj)
     cw = componentwise_isotopic(atlas, li, lj)
     if not v.is_not_isotopic:
@@ -265,16 +264,12 @@ def check_twist_relations() -> CheckResult:
                         lhs_vec = ((1, 0) if sign == POS else (0, 1),) + tuple(
                             (0, 0) for _ in range(n - 1)
                         )
-                        lhs = make_integer_link(
-                            atlas, twisted_copy(atlas, L, n, t), lhs_vec
-                        )
+                        lhs = make_integer_link(atlas, L, n, t, lhs_vec)
                         rhs_vec = ((0, 0),) + tuple(
                             ((0, 1) if sign == POS else (1, 0)) for _ in range(n - 1)
                         )
                         rhs = make_integer_link(
-                            atlas,
-                            twisted_copy(atlas, stabilize(atlas, L, sign, 1), n, t - 1),
-                            rhs_vec,
+                            atlas, stabilize(atlas, L, sign, 1), n, t - 1, rhs_vec
                         )
                         v = isotopic(atlas, lhs, rhs)
                         if not v.is_isotopic:
@@ -326,7 +321,7 @@ def _sample_integer(rng, atlas, n, q):
     L = rng.choice(pool)
     t = invariants(atlas, L).tb - q
     vec = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n))
-    return make_integer_link(atlas, twisted_copy(atlas, L, n, t), vec)
+    return make_integer_link(atlas, L, n, t, vec)
 
 
 def _sample_lesser(rng, atlas, n, p, q):
@@ -345,12 +340,10 @@ def _representation_twin(rng, atlas, link):
             make_greater_link(atlas, u, link.n, link.p, link.q, link.vec)
     if isinstance(link, IntegerLink):
         # first displayed twisted-copy identity, applied at the base
-        base = link.base
         lhs_vec = ((link.vec[0][0] + 1, link.vec[0][1]),) + link.vec[1:]
-        lhs = IntegerLink(base, lhs_vec)
-        up = twisted_copy(atlas, stabilize(atlas, base.L, POS, 1), base.n, base.t - 1)
         rhs_vec = (link.vec[0],) + tuple((a, b + 1) for a, b in link.vec[1:])
-        return lhs, IntegerLink(up, rhs_vec)
+        up = stabilize(atlas, link.L, POS, 1)
+        return replace(link, vec=lhs_vec), replace(link, L=up, t=link.t - 1, vec=rhs_vec)
     th0, _ = lesser_thresholds(atlas, link.p, link.q)
     vec_plus = tuple((a, b + th0) for a, b in link.vec)
     vec_minus = tuple((a + th0, b) for a, b in link.vec)
@@ -396,7 +389,7 @@ def check_oracle_agreement(samples: int = 500) -> CheckResult:
         n = rng.randint(1, 3)
         q = atlas.tbb - rng.randint(0, 2)
         l1 = _sample_integer(rng, atlas, n, q)
-        if count % 3 == 0 and l1.base.t >= 1:
+        if count % 3 == 0 and l1.t >= 1:
             l1, l2 = _representation_twin(rng, atlas, l1)
         else:
             l2 = _sample_integer(rng, atlas, n, q)
@@ -464,7 +457,7 @@ def check_structural_invariants() -> CheckResult:
                         failures.append(f"{name}: greater peak link components differ")
             q = atlas.tbb - 1
             for link in enumerate_nondestab_links(atlas, n, 1, q):
-                if link.base.t != 0:
+                if link.t != 0:
                     continue  # only the n-copies realize every component at tb = q
                 ks = [component_class(atlas, link, c + 1) for c in range(n)]
                 if any(not is_equal(atlas, ks[0], kk) for kk in ks[1:]):

@@ -28,7 +28,6 @@ from legcable import (
     regime,
     stabilize,
     stabilize_component,
-    twisted_copy,
     window_classes,
 )
 from legcable.errors import NotReduced, RegimeMismatch, WrongRegime, WrongWindow
@@ -188,34 +187,29 @@ def test_greater_stabilization_consistency_up_to_p4():
                     assert isotopic(atlas, lhs, rhs).is_isotopic
 
 
-def copy_invariants(atlas, base):
+def copy_invariants(atlas, L, n, t):
     """Component invariants of the unstabilized twisted copy."""
-    return component_invariants(atlas, make_integer_link(atlas, base))
+    return component_invariants(atlas, make_integer_link(atlas, L, n, t))
 
 
-def test_twisted_copy_component_invariants():
+def test_twisted_n_copy_component_invariants():
     tw2 = builtin_atlas("twist-even-2")
-    base = twisted_copy(tw2, Named("P1"), 2, 1)
-    assert copy_invariants(tw2, base) == [(0, 1), (0, -1)]
+    assert copy_invariants(tw2, Named("P1"), 2, 1) == [(0, 1), (0, -1)]
     un = builtin_atlas("unknot")
-    base = twisted_copy(un, Named("U"), 2, 2)
-    assert copy_invariants(un, base) == [(0, -1), (0, -5)]
-    ncopy = twisted_copy(un, Named("U"), 3, 0)
-    assert copy_invariants(un, ncopy) == [(0, -1)] * 3
-    assert ncopy.q == -1
+    assert copy_invariants(un, Named("U"), 2, 2) == [(0, -1), (0, -5)]
+    assert copy_invariants(un, Named("U"), 3, 0) == [(0, -1)] * 3
+    assert make_integer_link(un, Named("U"), 3, 0).q == -1
 
 
-def test_twisted_copy_satisfies_both_stabilization_identities():
+def test_twisted_n_copy_satisfies_both_stabilization_identities():
     # component invariants of T^t(nL) match both sign instances of the
     # twisted-copy stabilization relation
     tw2 = builtin_atlas("twist-even-2")
     for t in (1, 2, 3):
         for n in (2, 3):
-            base = twisted_copy(tw2, Named("P1"), n, t)
-            lhs = copy_invariants(tw2, base)
+            lhs = copy_invariants(tw2, Named("P1"), n, t)
             for sign in (POS, NEG):
-                up = twisted_copy(tw2, stabilize(tw2, Named("P1"), sign, 1), n, t - 1)
-                rhs = copy_invariants(tw2, up)
+                rhs = copy_invariants(tw2, stabilize(tw2, Named("P1"), sign, 1), n, t - 1)
                 # comp 1 stabilized on the left, comps 2..n on the right
                 got_l = [(lhs[0][0] + sign, lhs[0][1] - 1)] + lhs[1:]
                 got_r = [rhs[0]] + [(r - sign, tb - 1) for r, tb in rhs[1:]]

@@ -67,7 +67,7 @@ def test_isotopic_unknown_exits_one(capsys):
     assert doc["verdict"] == "unknown" and doc["reason"]
 
 
-def test_validation_errors_exit_two(capsys):
+def test_validation_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isotopic", "--atlas", "no-such-atlas", GREATER_A, GREATER_B)
     assert code == EXIT_USAGE and "error" in err
     code, _, err = run_cli(
@@ -76,6 +76,42 @@ def test_validation_errors_exit_two(capsys):
     assert code == EXIT_USAGE
     code, _, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", "{not json", GREATER_B)
     assert code == EXIT_USAGE
+    # malformed documents: no q, a list for a document, a scalar vector
+    no_q = json.dumps({k: v for k, v in json.loads(GREATER_A).items() if k != "q"})
+    for args in (
+        (no_q, GREATER_B),
+        (f"[{GREATER_A}]", GREATER_B),
+        ("--vec", "[[0,0],[0,0]]", f"[{GREATER_A}]", GREATER_B),
+        ("--vec", "5", GREATER_A, GREATER_B),
+    ):
+        code, out, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", *args)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:"), args
+    spec = json.loads(atlas_to_json_str(builtin_atlas("twist-even-2")))
+    del spec["tbb"]
+    path = tmp_path / "no-tbb.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
+    assert code == EXIT_USAGE and out == "" and "tbb" in err
+
+
+def test_enumerate_zero_components_exits_two(capsys):
+    for p, q in ((2, 3), (1, 0), (2, -3)):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--atlas", "twist-even-2", "--p", str(p), "--q", str(q),
+            "--n", "0",
+        )
+        assert code == EXIT_USAGE and out == "" and "component" in err
+
+
+def test_budget_flag_only_on_isotopic(capsys):
+    code, _, _ = run_cli(
+        capsys, "isotopic", "--atlas", "k-minus-5", "--budget", "10", GREATER_A, GREATER_B
+    )
+    assert code == EXIT_OK
+    for args in (("componentwise", GREATER_A, GREATER_B), ("permute", GREATER_A, "--perm", "2,1")):
+        code, _, err = run_cli(capsys, args[0], "--atlas", "k-minus-5", "--budget", "10",
+                               *args[1:])
+        assert code == EXIT_USAGE and "--budget" in err
 
 
 def test_atlas_file_loading(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 import random
 from itertools import permutations
+from math import gcd
 
 import pytest
 
 from legcable import (
+    DIVIDE,
     Generic,
+    GreaterLink,
     IntegerLink,
     LesserLink,
     Named,
@@ -15,6 +18,7 @@ from legcable import (
     RULING,
     builtin_atlas,
     canonicalize,
+    classes_at_tb,
     component_class,
     component_invariants,
     componentwise_isotopic,
@@ -33,10 +37,12 @@ from legcable import (
     permutation_realizable,
     stabilize,
     stabilize_component,
-    twisted_copy,
 )
+from legcable import links as links_module
+from legcable.atlas import ceil_div
 from legcable.errors import (
     BadIndex,
+    EngineError,
     LengthMismatch,
     NotAPermutation,
     RegimeMismatch,
@@ -71,7 +77,7 @@ def test_make_link_constructors_validate():
         "vec": [[0, 0], [0, 0]],
     }
     link = make_link(tw(), doc)
-    assert isinstance(link, IntegerLink) and link.base.t == 1
+    assert isinstance(link, IntegerLink) and link.t == 1
     doc = {
         "regime": "noninteger-lesser",
         "p": 2,
@@ -83,11 +89,24 @@ def test_make_link_constructors_validate():
     assert isinstance(link, LesserLink) and link.sign == POS
 
 
+def test_zero_component_documents_are_rejected():
+    docs = [
+        (k5(), {"regime": "greater", "p": 2, "q": 1, "base": {"class": {"gen": "A"}}}),
+        (tw(), {"regime": "integer-lesser", "q": 0, "base": {"class": {"gen": "R1"}}}),
+        (tw(), {"regime": "noninteger-lesser", "p": 2, "q": -3,
+                "base": {"class": {"rot": 0, "tb": -1}, "sign": "+"}}),
+    ]
+    for atlas, doc in docs:
+        for vec in ([], None):
+            with pytest.raises(EngineError):
+                make_link(atlas, dict(doc, n=0, vec=vec))
+
+
 def test_link_json_round_trip():
     atlas = tw()
     links = [
         make_greater_link(atlas, Named("P1"), 2, 1, 2, ((1, 0), (0, 3))),
-        make_integer_link(atlas, twisted_copy(atlas, Named("P2"), 3, 1), ((1, 1), (0, 0), (2, 0))),
+        make_integer_link(atlas, Named("P2"), 3, 1, ((1, 1), (0, 0), (2, 0))),
         make_lesser_link(atlas, Generic(0, -1), NEG, 2, 2, -3, ((0, 1), (4, 0))),
     ]
     for link in links:
@@ -124,9 +143,107 @@ def test_canonicalize_is_idempotent_on_fixpoints():
     assert canonicalize(atlas, glink) == glink
 
 
+def stepwise_canonical(atlas, link):
+    """The canonical form by the stabilization relations, one round per step."""
+    p = link.p
+    th0, th1 = lesser_thresholds(atlas, p, link.q) if isinstance(link, LesserLink) else (p, p)
+    if isinstance(link, GreaterLink):
+        form, base, sign = RULING, link.u, 0  # a greater cable pushes like a deep ruling
+    else:
+        form, base, sign = link.form, link.base, link.sign
+    base, vec = normalize(atlas, base), list(link.vec)
+    window = ceil_div(link.q, p)
+
+    def every(sign, k):
+        return all((a if sign == POS else b) >= k for a, b in vec)
+
+    def moved(da, db):
+        return [(a + da, b + db) for a, b in vec]
+
+    while True:
+        if form == DIVIDE:
+            if every(-sign, th0):
+                form, sign, vec = RULING, 0, moved(*((0, -th0) if sign == POS else (-th0, 0)))
+            elif every(sign, th1):
+                base = stabilize(atlas, base, sign, 1)
+                form, sign, vec = RULING, 0, moved(*((-th1, 0) if sign == POS else (0, -th1)))
+            else:
+                break
+        elif isinstance(link, LesserLink) and invariants(atlas, base).tb == window:
+            if every(POS, th1):
+                base, vec = stabilize(atlas, base, POS, 1), moved(-th1, th0)
+            elif every(NEG, th1):
+                base, vec = stabilize(atlas, base, NEG, 1), moved(th0, -th1)
+            else:
+                break
+        elif every(POS, p):
+            base, vec = stabilize(atlas, base, POS, 1), moved(-p, 0)
+        elif every(NEG, p):
+            base, vec = stabilize(atlas, base, NEG, 1), moved(0, -p)
+        else:
+            break
+    if isinstance(link, GreaterLink):
+        return GreaterLink(base, link.n, p, link.q, tuple(vec))
+    return LesserLink(form, base, sign, link.n, p, link.q, tuple(vec))
+
+
+def test_canonicalize_matches_stepwise_reference():
+    rng = random.Random(11)
+    checked = {"greater": 0, "divide": 0, "ruling-window": 0, "ruling-deep": 0}
+    for name in ("unknot", "k-minus-5", "twist-even-2", "twist-even-3", "twist-even-4"):
+        atlas = builtin_atlas(name)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            vec = tuple((rng.randint(0, 14), rng.randint(0, 14)) for _ in range(n))
+            p = rng.randint(1, 4)
+            q = p * atlas.width_ceiling + rng.randint(1, 5)
+            if gcd(p, q) == 1:
+                u = rng.choice(classes_at_tb(atlas, atlas.tbb - rng.randint(0, 2)))
+                link = make_greater_link(atlas, u, n, p, q, vec)
+                assert canonicalize(atlas, link) == stepwise_canonical(atlas, link)
+                checked["greater"] += 1
+            p = rng.randint(2, 5)
+            q = p * atlas.tbb - rng.randint(1, 7)
+            if not atlas.uniformly_thick or gcd(p, q) != 1:
+                continue
+            depth = rng.randint(0, 2)
+            base = rng.choice(classes_at_tb(atlas, ceil_div(q, p) - depth))
+            if rng.random() < 0.5 and depth == 0:
+                link = make_lesser_link(atlas, base, rng.choice((POS, NEG)), n, p, q, vec)
+                checked["divide"] += 1
+            else:
+                link = make_lesser_link(atlas, base, 0, n, p, q, vec, form=RULING)
+                checked["ruling-deep" if depth else "ruling-window"] += 1
+            assert canonicalize(atlas, link) == stepwise_canonical(atlas, link)
+    assert min(checked.values()) >= 20, checked
+
+
+def test_canonicalize_cost_does_not_grow_with_stabilization_counts(monkeypatch):
+    calls = []
+
+    def counting(atlas, c, sign, count=1):
+        calls.append(count)
+        return stabilize(atlas, c, sign, count)
+
+    monkeypatch.setattr(links_module, "stabilize", counting)
+    deep = ((10**6, 0), (10**6, 3))
+    greater = make_greater_link(k5(), Named("A"), 2, 2, 1, deep)
+    canon = canonicalize(k5(), greater)
+    assert len(calls) <= 4
+    assert canon.vec == ((0, 0), (0, 3))
+    assert component_invariants(k5(), canon) == component_invariants(k5(), greater)
+    calls.clear()
+    atlas = tw()
+    lesser = make_lesser_link(atlas, Named("R1", 1, 0), POS, 2, 2, -3, deep)
+    canon = canonicalize(atlas, lesser)
+    assert len(calls) <= 4
+    assert canon.form == RULING and max(a for a, _ in canon.vec) < 2
+    assert component_invariants(atlas, canon) == component_invariants(atlas, lesser)
+
+
 def test_stabilize_component_examples():
     atlas = tw()
-    ncopy = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0))
+    ncopy = make_integer_link(atlas, Named("P1"), 2, 0)
     mixed = stabilize_component(atlas, stabilize_component(atlas, ncopy, 1, POS), 2, NEG)
     assert mixed.vec == ((1, 0), (0, 1))
     assert stabilize_component(atlas, ncopy, 1, POS, 0) == ncopy
@@ -165,8 +282,8 @@ def test_isotopic_unordered_multiset_semantics():
 def test_isotopic_integer_mixed_sign_witness():
     atlas = tw(4)
     vec = ((1, 0), (0, 1))
-    li = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0), vec)
-    lj = make_integer_link(atlas, twisted_copy(atlas, Named("P3"), 2, 0), vec)
+    li = make_integer_link(atlas, Named("P1"), 2, 0, vec)
+    lj = make_integer_link(atlas, Named("P3"), 2, 0, vec)
     assert atlas.sigma_plus[0] == atlas.sigma_plus[2]
     assert isotopic(atlas, li, lj).is_not_isotopic
     assert componentwise_isotopic(atlas, li, lj)
@@ -175,25 +292,25 @@ def test_isotopic_integer_mixed_sign_witness():
 def test_isotopic_integer_one_signed_merges_through_sigma():
     atlas = tw(2)  # sigma sends both peaks to the single edge base
     vec = ((1, 0), (1, 0))
-    l1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0), vec)
-    l2 = make_integer_link(atlas, twisted_copy(atlas, Named("P2"), 2, 0), vec)
+    l1 = make_integer_link(atlas, Named("P1"), 2, 0, vec)
+    l2 = make_integer_link(atlas, Named("P2"), 2, 0, vec)
     assert isotopic(atlas, l1, l2).is_isotopic
     # partially stabilized copies keep the peaks apart
     vec = ((1, 0), (0, 0))
-    l1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0), vec)
-    l2 = make_integer_link(atlas, twisted_copy(atlas, Named("P2"), 2, 0), vec)
+    l1 = make_integer_link(atlas, Named("P1"), 2, 0, vec)
+    l2 = make_integer_link(atlas, Named("P2"), 2, 0, vec)
     assert isotopic(atlas, l1, l2).is_not_isotopic
 
 
 def test_isotopic_integer_both_signs_cases():
     vec = ((1, 1), (1, 1))
     atlas = tw(2)  # records both-sign stabilized copies as invariant-determined
-    l1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0), vec)
-    l2 = make_integer_link(atlas, twisted_copy(atlas, Named("P2"), 2, 0), vec)
+    l1 = make_integer_link(atlas, Named("P1"), 2, 0, vec)
+    l2 = make_integer_link(atlas, Named("P2"), 2, 0, vec)
     assert isotopic(atlas, l1, l2).is_isotopic
     k5a = k5()  # no such record: the classification is silent
-    l1 = make_integer_link(k5a, twisted_copy(k5a, Named("A"), 2, 0), vec)
-    l2 = make_integer_link(k5a, twisted_copy(k5a, Named("B"), 2, 0), vec)
+    l1 = make_integer_link(k5a, Named("A"), 2, 0, vec)
+    l2 = make_integer_link(k5a, Named("B"), 2, 0, vec)
     verdict = isotopic(k5a, l1, l2)
     assert verdict.is_unknown and verdict.reason
 
@@ -201,13 +318,12 @@ def test_isotopic_integer_both_signs_cases():
 def test_isotopic_integer_general_case_uses_max_component():
     atlas = tw(2)
     # two presentations of one link with different twisted-copy bases
-    l1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1), ((1, 0), (0, 0)))
-    rhs_base = twisted_copy(atlas, normalize(atlas, Named("P1", 1, 0)), 2, 0)
-    l2 = make_integer_link(atlas, rhs_base, ((0, 0), (0, 1)))
+    l1 = make_integer_link(atlas, Named("P1"), 2, 1, ((1, 0), (0, 0)))
+    l2 = make_integer_link(atlas, normalize(atlas, Named("P1", 1, 0)), 2, 0, ((0, 0), (0, 1)))
     assert isotopic(atlas, l1, l2).is_isotopic
     # distinct maximal components at the same invariants stay distinct
-    l1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1))
-    l2 = make_integer_link(atlas, twisted_copy(atlas, Named("P2"), 2, 1))
+    l1 = make_integer_link(atlas, Named("P1"), 2, 1)
+    l2 = make_integer_link(atlas, Named("P2"), 2, 1)
     assert isotopic(atlas, l1, l2).is_not_isotopic
 
 
@@ -242,7 +358,7 @@ def test_isotopic_lesser_unknown_cases():
 def test_isotopic_rejects_mismatched_links():
     atlas = tw()
     g = make_greater_link(atlas, Named("P1"), 2, 1, 2)
-    i = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0))
+    i = make_integer_link(atlas, Named("P1"), 2, 0)
     with pytest.raises(RegimeMismatch):
         isotopic(atlas, g, i)
     with pytest.raises(RegimeMismatch):
@@ -255,12 +371,11 @@ def test_isotopic_is_an_equivalence_where_conclusive():
     pool = []
     for _ in range(12):
         vec = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(2))
-        base = twisted_copy(atlas, rng.choice([Named("P1"), Named("P2"), Named("R1")]), 2,
-                            rng.randint(0, 1))
-        if base.q > atlas.tbb:
+        L, t = rng.choice([Named("P1"), Named("P2"), Named("R1")]), rng.randint(0, 1)
+        if invariants(atlas, L).tb - t > atlas.tbb:
             continue
-        pool.append(make_integer_link(atlas, base, vec))
-    pool = [l for l in pool if l.base.q == pool[0].base.q]
+        pool.append(make_integer_link(atlas, L, 2, t, vec))
+    pool = [l for l in pool if l.q == pool[0].q]
     for a in pool:
         assert isotopic(atlas, a, a).is_isotopic
         for b in pool:
@@ -295,7 +410,7 @@ def test_isotopic_implies_componentwise_implies_invariants():
 
 def test_component_class_examples():
     atlas = tw()
-    t1 = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1))
+    t1 = make_integer_link(atlas, Named("P1"), 2, 1)
     assert component_class(atlas, t1, 2) == Generic(0, -1)
     assert component_class(atlas, t1, 1) == Named("P1")
     k5a = k5()
@@ -303,7 +418,7 @@ def test_component_class_examples():
     comp = component_class(k5a, link, 1)
     assert comp.vec == ((1, 0),)
     assert component_invariants(k5a, comp) == [(1, -6)]
-    ncopy = make_integer_link(atlas, twisted_copy(atlas, Named("R1"), 3, 0))
+    ncopy = make_integer_link(atlas, Named("R1"), 3, 0)
     assert all(component_class(atlas, ncopy, c) == Named("R1") for c in (1, 2, 3))
     with pytest.raises(BadIndex):
         component_class(atlas, ncopy, 4)
@@ -311,9 +426,9 @@ def test_component_class_examples():
 
 def test_componentwise_isotopic_basics():
     atlas = tw()
-    a = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1))
+    a = make_integer_link(atlas, Named("P1"), 2, 1)
     assert componentwise_isotopic(atlas, a, a)
-    b = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 1), ((1, 0), (0, 0)))
+    b = make_integer_link(atlas, Named("P1"), 2, 1, ((1, 0), (0, 0)))
     assert not componentwise_isotopic(atlas, a, b)
 
 
@@ -348,8 +463,7 @@ def test_componentwise_isotopic_matches_bijection_reference():
 
     def integer(atlas, vec):
         L, t = rng.choice([(Named("P1"), 1), (Named("R1"), 0), (Named("L1"), 0)])
-        base = twisted_copy(atlas, L, len(vec), t)
-        return make_integer_link(atlas, base, vec)
+        return make_integer_link(atlas, L, len(vec), t, vec)
 
     def lesser(atlas, vec):
         w = rng.choice([Generic(0, -1), Named("R1", 1, 0)])
@@ -390,15 +504,28 @@ def test_permutation_realizable_greater():
 
 def test_permutation_realizable_integer_cases():
     atlas = tw()
-    two_copy = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 2, 0))
+    two_copy = make_integer_link(atlas, Named("P1"), 2, 0)
     assert permutation_realizable(atlas, two_copy, [2, 1]).is_not_isotopic  # q = tbb
-    three = make_integer_link(atlas, twisted_copy(atlas, Named("R1"), 3, 0))
+    three = make_integer_link(atlas, Named("R1"), 3, 0)
     assert permutation_realizable(atlas, three, [2, 3, 1]).is_isotopic  # q < tbb, cyclic
     assert permutation_realizable(atlas, three, [2, 1, 3]).is_not_isotopic
     # not an n-copy: invariant-preserving permutations are free
-    twisted = make_integer_link(atlas, twisted_copy(atlas, Named("P1"), 3, 2))
+    twisted = make_integer_link(atlas, Named("P1"), 3, 2)
     assert permutation_realizable(atlas, twisted, [1, 3, 2]).is_isotopic
     assert permutation_realizable(atlas, twisted, [2, 1, 3]).is_not_isotopic
+
+
+def test_permutation_realizable_truncated_search_is_unknown(monkeypatch):
+    atlas = tw()
+    twisted = make_integer_link(atlas, Named("P1"), 3, 2)
+    assert permutation_realizable(atlas, twisted, [1, 3, 2]).is_isotopic
+
+    def truncated(atlas, link, node_cap=4000):
+        return frozenset({links_module.int_state(atlas, link.L, link.t, link.vec)}), False
+
+    monkeypatch.setattr(links_module, "integer_closure", truncated)
+    verdict = permutation_realizable(atlas, twisted, [1, 3, 2])
+    assert verdict.is_unknown and "node budget" in verdict.reason
 
 
 def test_permutation_realizable_lesser_is_unknown():
@@ -434,7 +561,7 @@ def test_max_tb_peak_links_have_constant_components():
         classes = [component_class(atlas, link, c) for c in (1, 2, 3)]
         assert all((k.u, k.vec) == (classes[0].u, ((0, 0),)) for k in classes)
     for link in enumerate_nondestab_links(atlas, 3, 1, 0):  # integer
-        if link.base.t == 0:
+        if link.t == 0:
             classes = [component_class(atlas, link, c) for c in (1, 2, 3)]
             assert all(is_equal(atlas, classes[0], k) for k in classes)
     for link in enumerate_nondestab_links(atlas, 3, 2, -3):  # lesser
@@ -442,7 +569,7 @@ def test_max_tb_peak_links_have_constant_components():
         assert all(isotopic(atlas, classes[0], k).is_isotopic for k in classes)
 
 
-def test_twisted_copy_relation_holds_as_engine_equality():
+def test_twisted_n_copy_relation_holds_as_engine_equality():
     for name in ("unknot", "k-minus-5", "twist-even-2", "twist-even-3"):
         atlas = builtin_atlas(name)
         tops = [Named(g.id) for g in atlas.generators][:3]
@@ -451,11 +578,9 @@ def test_twisted_copy_relation_holds_as_engine_equality():
                 for t in (1, 2, 3):
                     for sign in (POS, NEG):
                         lhs_vec = ((1, 0) if sign == POS else (0, 1),) + ((0, 0),) * (n - 1)
-                        lhs = make_integer_link(atlas, twisted_copy(atlas, L, n, t), lhs_vec)
+                        lhs = make_integer_link(atlas, L, n, t, lhs_vec)
                         rhs_vec = ((0, 0),) + (((0, 1) if sign == POS else (1, 0)),) * (n - 1)
                         rhs = make_integer_link(
-                            atlas,
-                            twisted_copy(atlas, stabilize(atlas, L, sign, 1), n, t - 1),
-                            rhs_vec,
+                            atlas, stabilize(atlas, L, sign, 1), n, t - 1, rhs_vec
                         )
                         assert isotopic(atlas, lhs, rhs).is_isotopic

@@ -18,7 +18,6 @@ from legcable import (
     make_greater_link,
     make_integer_link,
     mountain_range,
-    twisted_copy,
 )
 from legcable.errors import KindMismatch
 
@@ -76,12 +75,12 @@ def test_closure_equal_integer_guard():
     # disjoint orbits inside the n-copy sector stay Unknown, never NotIsotopic
     k5 = builtin_atlas("k-minus-5")
     vec = ((1, 1), (1, 1))
-    l1 = make_integer_link(k5, twisted_copy(k5, Named("A"), 2, 0), vec)
-    l2 = make_integer_link(k5, twisted_copy(k5, Named("B"), 2, 0), vec)
+    l1 = make_integer_link(k5, Named("A"), 2, 0, vec)
+    l2 = make_integer_link(k5, Named("B"), 2, 0, vec)
     assert closure_equal(k5, l1, l2).is_unknown
     # away from that sector, disjoint + explored is conclusive
-    t1 = make_integer_link(k5, twisted_copy(k5, Named("A"), 2, 1))
-    t2 = make_integer_link(k5, twisted_copy(k5, Named("B"), 2, 1))
+    t1 = make_integer_link(k5, Named("A"), 2, 1)
+    t2 = make_integer_link(k5, Named("B"), 2, 1)
     assert closure_equal(k5, t1, t2).is_not_isotopic
 
 
