@@ -25,6 +25,7 @@ from .atlas import (
     builtin_atlas,
     class_from_json,
     class_label,
+    class_rows,
     class_to_json,
     classes_at,
     classes_at_tb,

@@ -6,8 +6,12 @@ class.  A Legendrian isotopy class is either Named(gen, a, b) -- the
 generator stabilized a times positively and b times negatively -- or
 Generic(rot, tb), a class determined by its invariants alone.  Equality of
 classes is equality of rewrite normal forms; every rule strictly decreases
-a + b, so normalization terminates, and confluence is checked separately by
-the oracle module before an atlas is trusted.
+a + b, so normalization terminates.  Normal forms are assumed unique (the
+rules are assumed confluent): ``class_rows`` builds each row from the
+stabilizations of the row above, and canonicalization pushes stabilizations
+through normal forms, and both are exact only then.  Nothing proves this at
+load time yet (ROADMAP item 4); the oracle's ``check_confluence`` samples it
+to a fixed depth.
 """
 
 from __future__ import annotations
@@ -469,6 +473,32 @@ def classes_at_tb(atlas: KnotAtlas, tb: int) -> list[LegClass]:
     return [found[k] for k in sorted(found)]
 
 
+def class_rows(
+    atlas: KnotAtlas, tb_min: int, tb_max: Optional[int] = None
+) -> list[tuple[int, list[LegClass]]]:
+    """The rows (tb, classes_at_tb(atlas, tb)) from tb_max down to tb_min.
+
+    tb_max defaults to the peak row.  Below the top row the rows form a
+    stabilization cone: row tb - 1 is the set of stabilize(c, +1) and
+    stabilize(c, -1) for the classes c of row tb, plus Named(g) for every
+    generator g with g.tb = tb - 1.  So a row costs two stabilizations per
+    class of the row above instead of a normalization of every raw state of
+    every generator; this is exact because normal forms are unique.  Each row
+    is sorted by ``class_key``.  Empty when tb_min lies above the top row.
+    """
+    tb_max = atlas.tbb if tb_max is None else tb_max
+    if tb_min > tb_max:
+        return []
+    row = classes_at_tb(atlas, tb_max)
+    rows = [(tb_max, row)]
+    for tb in range(tb_max - 1, tb_min - 1, -1):
+        found = {stabilize(atlas, c, sign, 1) for c in row for sign in (POS, NEG)}
+        found.update(normalize(atlas, Named(g.id)) for g in atlas.generators if g.tb == tb)
+        row = sorted(found, key=lambda c: class_key(atlas, c))
+        rows.append((tb, row))
+    return rows
+
+
 def classes_at(atlas: KnotAtlas, rot: int, tb: int) -> list[LegClass]:
     """All distinct classes of the atlas at one lattice point, sorted."""
     found = {}
@@ -508,8 +538,8 @@ def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
     return tally(
         (
             ((invariants(atlas, cls).rot, tb), class_label(atlas, cls))
-            for tb in range(atlas.tbb, tb_min - 1, -1)
-            for cls in classes_at_tb(atlas, tb)
+            for tb, row in class_rows(atlas, tb_min)
+            for cls in row
         ),
         tb_min,
     )
@@ -539,9 +569,13 @@ def class_to_json(c: LegClass) -> dict:
 
 
 def class_from_json(doc: dict) -> LegClass:
+    """Parse a class document; a negative stabilization count is malformed."""
     try:
         if "gen" in doc:
-            return Named(str(doc["gen"]), int(doc.get("plus", 0)), int(doc.get("minus", 0)))
+            c = Named(str(doc["gen"]), int(doc.get("plus", 0)), int(doc.get("minus", 0)))
+            if c.plus < 0 or c.minus < 0:
+                raise ValueError(f"stabilization counts must be >= 0, got {doc}")
+            return c
         return Generic(int(doc["rot"]), int(doc["tb"]))
     except DOCUMENT_ERRORS as exc:
         raise malformed("class document", exc) from None

@@ -32,6 +32,7 @@ from .atlas import (
     RotTb,
     ceil_div,
     class_label,
+    class_rows,
     classes_at_tb,
     invariants,
 )
@@ -99,8 +100,8 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
     floor = ceil_div(tb_min - p * q + q, p)
     cells = [
         (f"{class_label(atlas, u)}({p},{q})", greater_base_invariants(atlas, u, p, q), p, p)
-        for tb_u in range(atlas.tbb, floor - 1, -1)
-        for u in classes_at_tb(atlas, tb_u)
+        for _, row in class_rows(atlas, floor)
+        for u in row
     ]
     return tally(sorted(_stabilized(cells)), tb_min)
 
@@ -147,21 +148,22 @@ def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Moun
         raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
     th0, th1 = lesser_thresholds(atlas, p, q)
     window = ceil_div(q, p)
+    # tb of a deep ruling with zero vector is pq - (q - p tb_u); below this
+    # floor even the unstabilized ruling sits under the cutoff.
+    floor = ceil_div(tb_min - p * q + q, p)
+    rows = dict(class_rows(atlas, min(window, floor), window))
     cells = []
-    for w in window_classes(atlas, p, q):
+    for w in rows[window]:
         name = class_label(atlas, w)
         cells += [
             (f"{name}^+", lesser_base_invariants(atlas, DIVIDE, w, POS, p, q), th1, th0),
             (f"{name}^-", lesser_base_invariants(atlas, DIVIDE, w, NEG, p, q), th0, th1),
             (f"rul[{name}]", lesser_base_invariants(atlas, RULING, w, 0, p, q), th1, th1),
         ]
-    # tb of a deep ruling with zero vector is pq - (q - p tb_u); below this
-    # floor even the unstabilized ruling sits under the cutoff.
-    floor = ceil_div(tb_min - p * q + q, p)
     cells += [
         (f"rul[{class_label(atlas, u)}]", lesser_base_invariants(atlas, RULING, u, 0, p, q), p, p)
         for tb_u in range(window - 1, floor - 1, -1)
-        for u in classes_at_tb(atlas, tb_u)
+        for u in rows[tb_u]
     ]
     return tally(sorted(_stabilized(cells)), tb_min)
 

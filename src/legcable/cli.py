@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including a definite NotIsotopic), 1 when a verdict
 comes back Unknown (so scripts can branch on "the classification is silent"),
-2 on usage or validation errors.
+2 on usage or validation errors, 3 on an internal error (a bug), so that a
+crash never reads as Unknown.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .render import ascii_mountain, ifsurg_overlay, svg_mountain
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def load_atlas(spec: str):
@@ -154,6 +156,12 @@ def run(argv) -> int:
     except (json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # sys.excepthook prints the traceback as for an uncaught exception,
+        # without importing the traceback module on every start-up.
+        print("internal error:", file=sys.stderr)
+        sys.excepthook(*sys.exc_info())
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:

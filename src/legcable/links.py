@@ -42,8 +42,8 @@ from .atlas import (
     ceil_div,
     class_from_json,
     class_label,
+    class_rows,
     class_to_json,
-    classes_at_tb,
     destabilizations,
     invariants,
     is_equal,
@@ -228,6 +228,19 @@ def make_lesser_link(
     return LesserLink(form, base, sign, n, p, q, _check_vec(vec, n))
 
 
+# Document spellings of a lesser-cable sign; 0 is what link_to_json writes
+# for a ruling form, which has no sign.
+_SIGNS = {"+": POS, 1: POS, "-": NEG, -1: NEG}
+_RULING_SIGNS = {**_SIGNS, "0": 0, 0: 0}
+
+
+def _parse_sign(value, form: str) -> int:
+    signs = _RULING_SIGNS if form == RULING else _SIGNS
+    if type(value) not in (str, int) or value not in signs:
+        raise MalformedDocument(f"malformed link document: bad sign {value!r} for form {form!r}")
+    return signs[value]
+
+
 def make_link(atlas, doc: dict) -> Link:
     """Parse the link interchange document (see link_to_json).
 
@@ -257,7 +270,7 @@ def make_link(atlas, doc: dict) -> Link:
         return make_integer_link(atlas, cls, n, t, vec)
     if reg == Regime.NONINTEGER_LESSER.value:
         form = str(base.get("form", DIVIDE))
-        sign = POS if base.get("sign", "+") in ("+", POS) else NEG
+        sign = _parse_sign(base.get("sign", "+"), form)
         return make_lesser_link(atlas, cls, sign, n, p, q, vec, form=form)
     raise RegimeMismatch(f"unknown regime {reg!r}")
 
@@ -821,11 +834,11 @@ def enumerate_nondestab_links(atlas, n: int, p: int, q: int) -> list[Link]:
             make_greater_link(atlas, Named(g.id), n, p, q) for g in peaks(atlas)
         ]
     if reg is Regime.INTEGER_LESSER:
-        out = []
-        for tb in range(atlas.tbb, q - 1, -1):
-            for cls in classes_at_tb(atlas, tb):
-                out.append(make_integer_link(atlas, cls, n, tb - q))
-        return out
+        return [
+            make_integer_link(atlas, cls, n, tb - q)
+            for tb, row in class_rows(atlas, q)
+            for cls in row
+        ]
     if reg is Regime.NONINTEGER_LESSER:
         out = []
         for w in window_classes(atlas, p, q):

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legcable import (
@@ -14,6 +14,9 @@ from legcable import (
     atlas_from_json,
     atlas_to_json_str,
     builtin_atlas,
+    check_confluence,
+    class_from_json,
+    class_rows,
     classes_at_tb,
     invariants,
     is_equal,
@@ -23,10 +26,12 @@ from legcable import (
     peaks,
     stabilize,
 )
+from legcable import atlas as atlas_module
 from legcable.errors import (
     CutoffAbovePeak,
     DuplicateId,
     InvariantMismatch,
+    MalformedDocument,
     MetadataInconsistent,
     ParityViolation,
     UnknownGenerator,
@@ -257,6 +262,91 @@ def test_classes_at_tb_counts():
     assert len(classes_at_tb(tw3, 1)) == 5
     assert len(classes_at_tb(tw3, 0)) == 4  # two edge families per side
     assert len(classes_at_tb(tw3, -1)) == 5  # edges + one interior point
+
+
+def reference_rows(atlas, tb_min, tb_max=None):
+    tb_max = atlas.tbb if tb_max is None else tb_max
+    return [(tb, classes_at_tb(atlas, tb)) for tb in range(tb_max, tb_min - 1, -1)]
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("unknot", 25), ("k-minus-5", 25), ("twist-even-2", 25), ("twist-even-3", 25),
+    ("twist-even-4", 25), ("twist-even-8", 25), ("twist-even-16", 10),
+    ("twist-even-2-surgery", 25),
+])
+def test_class_rows_match_classes_at_tb_on_builtins(name, depth):
+    atlas = builtin_atlas(name)
+    assert class_rows(atlas, atlas.tbb - depth) == reference_rows(atlas, atlas.tbb - depth)
+    top = atlas.tbb - 3
+    assert class_rows(atlas, top - 6, top) == reference_rows(atlas, top - 6, top)
+    assert class_rows(atlas, atlas.tbb + 1) == []
+    assert class_rows(atlas, top + 1, top) == []
+
+
+@st.composite
+def small_atlases(draw):
+    """Atlases of up to five generators with rule offsets of at most 2.
+
+    A rule drawn as named lands on the generator at its target invariants,
+    which is added when there is none; other rules land on the generic class.
+    """
+    spots = [(rot, tb) for tb in range(-1, 2) for rot in range(-1, 2) if (rot + tb) % 2]
+    gens = [(f"g{i}", spot) for i, spot in enumerate(
+        draw(st.lists(st.sampled_from(spots), min_size=1, max_size=2)))]
+    rules = []
+    for src, da, db, named in draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), st.booleans()),
+        max_size=6,
+    )):
+        gid, (rot, tb) = gens[src % len(gens)]
+        if da + db == 0:
+            continue
+        at = (rot + da - db, tb - da - db)
+        dst = "generic"
+        if named:
+            dst = next((h for h, spot in gens if spot == at), None)
+            if dst is None and len(gens) < 5:
+                dst = f"g{len(gens)}"
+                gens.append((dst, at))
+        rules.append({"src": gid, "da": da, "db": db, "dst": dst or "generic"})
+    return make_atlas({
+        "name": "random",
+        "generators": [{"id": gid, "rot": rot, "tb": tb} for gid, (rot, tb) in gens],
+        "rules": rules,
+        "tbb": max(tb for _, (_, tb) in gens),
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases())
+def test_class_rows_match_classes_at_tb_on_confluent_atlases(atlas):
+    # offsets of at most 2 put every critical pair within depth 8 of its source
+    assume(check_confluence(atlas).ok)
+    tb_min = min(g.tb for g in atlas.generators) - 8
+    assert class_rows(atlas, tb_min) == reference_rows(atlas, tb_min)
+    top = atlas.tbb - 2
+    assert class_rows(atlas, tb_min, top) == reference_rows(atlas, tb_min, top)
+
+
+def test_mountain_range_normalizes_a_few_times_per_class(monkeypatch):
+    calls = []
+    original = atlas_module.normalize
+
+    def counting(atlas, c):
+        calls.append(c)
+        return original(atlas, c)
+
+    monkeypatch.setattr(atlas_module, "normalize", counting)
+    mr = mountain_range(builtin_atlas("twist-even-16"), -10)
+    assert mr.total() == 359
+    assert len(calls) <= 6 * mr.total()
+
+
+def test_class_from_json_rejects_negative_counts():
+    assert class_from_json({"gen": "A", "plus": 2}) == Named("A", 2, 0)
+    for doc in ({"gen": "A", "plus": -3}, {"gen": "A", "minus": -1}):
+        with pytest.raises(MalformedDocument):
+            class_from_json(doc)
 
 
 def test_atlas_json_round_trip_is_byte_stable():

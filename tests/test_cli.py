@@ -3,7 +3,8 @@
 import json
 
 from legcable import atlas_to_json_str, builtin_atlas
-from legcable.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
+from legcable import cli
+from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
 
 
 def run_cli(capsys, *argv):
@@ -77,12 +78,18 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", "{not json", GREATER_B)
     assert code == EXIT_USAGE
     # malformed documents: no q, a list for a document, a scalar vector
+    # negative stabilization counts, a sign that is neither + nor -
     no_q = json.dumps({k: v for k, v in json.loads(GREATER_A).items() if k != "q"})
+    negative = GREATER_A.replace('{"gen": "A"}', '{"gen": "A", "plus": -3}')
+    banana = json.dumps({"regime": "noninteger-lesser", "p": 2, "q": -7, "n": 1,
+                         "base": {"class": {"gen": "A"}, "sign": "banana"}})
     for args in (
         (no_q, GREATER_B),
         (f"[{GREATER_A}]", GREATER_B),
         ("--vec", "[[0,0],[0,0]]", f"[{GREATER_A}]", GREATER_B),
         ("--vec", "5", GREATER_A, GREATER_B),
+        (negative, GREATER_B),
+        (banana, banana.replace("banana", "+")),
     ):
         code, out, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", *args)
         assert code == EXIT_USAGE and out == "" and err.startswith("error:"), args
@@ -92,6 +99,16 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
     assert code == EXIT_USAGE and out == "" and "tbb" in err
+
+
+def test_internal_errors_exit_three(monkeypatch, capsys):
+    def broken(atlas, tb_min):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "mountain_range", broken)
+    code, out, err = run_cli(capsys, "mountain", "--atlas", "unknot", "--tb-min", "-3")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error:") and "RuntimeError: boom" in err
 
 
 def test_enumerate_zero_components_exits_two(capsys):

@@ -1,10 +1,13 @@
 """Module layout, read from the source without importing the package.
 
-No module imports inside a function body (such imports hide cycles), and
-``cables`` imports nothing from ``links``, which is built on top of it.
+No module imports inside a function body (such imports hide cycles), the
+package's modules import one another without a cycle, ``cables`` imports
+nothing from ``links``, which is built on top of it, and the brute-force
+oracle does not use the row builder it checks.
 """
 
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "legcable"
@@ -12,6 +15,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "legcable"
 
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(path):
+    """Every module, and every ``module.name``, that ``path`` imports."""
+    imported = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return imported
 
 
 def test_no_import_inside_a_function():
@@ -27,13 +43,25 @@ def test_no_import_inside_a_function():
     assert found == []
 
 
+def test_intra_package_imports_are_acyclic():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {
+        path.stem: {name.removeprefix("legcable.") for name in imported_names(path)} & modules
+        for path in SRC.glob("*.py")
+    }
+    assert graph["cli"] >= {"atlas", "selfcheck"}  # relative imports are read
+    list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
 def test_cables_imports_nothing_from_links():
-    imported = set()
-    for node in ast.walk(parse(SRC / "cables.py")):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported.add(module)
-            imported.update(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not {"links", "legcable.links"} & imported
+    assert not {"links", "legcable.links"} & imported_names(SRC / "cables.py")
+
+
+def test_oracle_does_not_use_the_row_builder():
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(parse(SRC / "oracle.py"))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "class_rows" not in names
+    assert not any(name.endswith("class_rows") for name in imported_names(SRC / "oracle.py"))

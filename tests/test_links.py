@@ -44,6 +44,7 @@ from legcable.errors import (
     BadIndex,
     EngineError,
     LengthMismatch,
+    MalformedDocument,
     NotAPermutation,
     RegimeMismatch,
     WrongRegime,
@@ -108,9 +109,25 @@ def test_link_json_round_trip():
         make_greater_link(atlas, Named("P1"), 2, 1, 2, ((1, 0), (0, 3))),
         make_integer_link(atlas, Named("P2"), 3, 1, ((1, 1), (0, 0), (2, 0))),
         make_lesser_link(atlas, Generic(0, -1), NEG, 2, 2, -3, ((0, 1), (4, 0))),
+        make_lesser_link(atlas, Named("R1", 1, 0), 0, 2, 2, -3, ((1, 0), (0, 2)), form=RULING),
     ]
     for link in links:
         assert make_link(atlas, link_to_json(atlas, link)) == link
+
+
+def test_make_link_reads_only_the_sign_spellings():
+    doc = {"regime": "noninteger-lesser", "p": 2, "q": -3, "n": 1,
+           "base": {"class": {"rot": 0, "tb": -1}}}
+    for sign, want in (("+", POS), (1, POS), ("-", NEG), (-1, NEG)):
+        assert make_link(tw(), dict(doc, base={**doc["base"], "sign": sign})).sign == want
+    ruling = {**doc["base"], "form": RULING}
+    for sign in ("0", 0, "+", "-"):
+        assert make_link(tw(), dict(doc, base={**ruling, "sign": sign})).sign == 0
+    for sign in ("banana", "0", 0, 2, True, 1.0, None, [1]):
+        with pytest.raises(MalformedDocument):
+            make_link(tw(), dict(doc, base={**doc["base"], "sign": sign}))
+    with pytest.raises(MalformedDocument):
+        make_link(tw(), dict(doc, base={**ruling, "sign": "banana"}))
 
 
 # -- canonicalization ----------------------------------------------------------
