@@ -12,6 +12,13 @@ stabilizations of the row above, and canonicalization pushes stabilizations
 through normal forms, and both are exact only then.  Nothing proves this at
 load time yet (ROADMAP item 4); the oracle's ``check_confluence`` samples it
 to a fixed depth.
+
+Two queries have closed forms that hold with or without confluence.
+Normalization ends on its start generator or on a rule's target, so the
+peaks (non-destabilizable generators) are the generators no rule targets.
+A stabilization of sign s moves rot by s, so the s-destabilizations of c
+are the classes at the one lattice point (rot(c) - s, tb(c) + 1) whose
+s-stabilization is c.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
-    CutoffAbovePeak,
     DOCUMENT_ERRORS,
     DuplicateId,
     InvariantMismatch,
@@ -31,7 +37,7 @@ from .errors import (
     UnsupportedKind,
     malformed,
 )
-from .mountain import MountainRange, tally
+from .mountain import MountainRange, check_cutoff, tally
 
 POS = 1
 NEG = -1
@@ -135,9 +141,6 @@ class KnotAtlas:
             return self._by_id[gid]
         except KeyError:
             raise UnknownGenerator(f"atlas {self.name!r} has no generator {gid!r}")
-
-    def has_generator(self, gid: str) -> bool:
-        return gid in self._by_id
 
     def rules_for(self, gid: str) -> list[RewriteRule]:
         return self._rules_by_src.get(gid, [])
@@ -408,12 +411,17 @@ def normalize(atlas: KnotAtlas, c: LegClass) -> LegClass:
     return c
 
 
-def stabilize(atlas: KnotAtlas, c: LegClass, sign: int, count: int = 1) -> LegClass:
-    """Stabilize ``count`` times with ``sign`` (+1 or -1), then normalize."""
+def check_stabilization(sign: int, count: int) -> None:
+    """Raise InvariantMismatch unless sign is +1 or -1 and count >= 0."""
     if sign not in (POS, NEG):
         raise InvariantMismatch(f"sign must be +1 or -1, got {sign!r}")
     if count < 0:
         raise InvariantMismatch(f"count must be >= 0, got {count}")
+
+
+def stabilize(atlas: KnotAtlas, c: LegClass, sign: int, count: int = 1) -> LegClass:
+    """Stabilize ``count`` times with ``sign`` (+1 or -1), then normalize."""
+    check_stabilization(sign, count)
     if isinstance(c, Generic):
         return Generic(c.rot + sign * count, c.tb - count)
     if sign == POS:
@@ -422,16 +430,12 @@ def stabilize(atlas: KnotAtlas, c: LegClass, sign: int, count: int = 1) -> LegCl
 
 
 def is_equal(atlas: KnotAtlas, c1: LegClass, c2: LegClass) -> bool:
-    """Equality of normal forms; Generics compare by invariants."""
-    n1, n2 = normalize(atlas, c1), normalize(atlas, c2)
-    if isinstance(n1, Generic) and isinstance(n2, Generic):
-        return (n1.rot, n1.tb) == (n2.rot, n2.tb)
-    return n1 == n2
+    """Equality of normal forms."""
+    return normalize(atlas, c1) == normalize(atlas, c2)
 
 
 def class_key(atlas: KnotAtlas, c: LegClass) -> tuple:
-    """Deterministic sort/identity key of a normal form."""
-    c = normalize(atlas, c)
+    """Deterministic sort/identity key of ``c``, which must be a normal form."""
     if isinstance(c, Named):
         return (0, atlas._order[c.gen], c.plus, c.minus)
     return (1, c.rot, c.tb)
@@ -512,29 +516,14 @@ def classes_at(atlas: KnotAtlas, rot: int, tb: int) -> list[LegClass]:
 
 
 def peaks(atlas: KnotAtlas) -> list[Generator]:
-    """Generators that are not the image of any stabilization."""
-    targets = {rule.dst for rule in atlas.rules if rule.dst is not None}
-    result = []
-    for g in atlas.generators:
-        if g.id in targets:
-            continue
-        reachable = False
-        for h in atlas.generators:
-            ab = _stab_counts_for(h, g.rot, g.tb)
-            if ab is None or ab == (0, 0):
-                continue
-            if normalize(atlas, Named(h.id, *ab)) == Named(g.id, 0, 0):
-                reachable = True
-                break
-        if not reachable:
-            result.append(g)
-    return result
+    """Generators that are not the image of any stabilization: no rule targets them."""
+    targets = {rule.dst for rule in atlas.rules}
+    return [g for g in atlas.generators if g.id not in targets]
 
 
 def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
     """Multiplicities of distinct classes per (rot, tb) down to tb_min."""
-    if tb_min > atlas.tbb:
-        raise CutoffAbovePeak(f"tb_min={tb_min} above the peak row tb={atlas.tbb}")
+    check_cutoff(tb_min, atlas.tbb)
     return tally(
         (
             ((invariants(atlas, cls).rot, tb), class_label(atlas, cls))
@@ -546,16 +535,13 @@ def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
 
 
 def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]:
-    """Classes one level up whose ``sign``-stabilization equals ``c``."""
+    """Classes at (rot(c) - sign, tb(c) + 1) whose ``sign``-stabilization equals ``c``."""
     c = normalize(atlas, c)
-    _, tb = invariants(atlas, c)
-    if tb + 1 > atlas.tbb:
-        return []
-    out = []
-    for cand in classes_at_tb(atlas, tb + 1):
-        if is_equal(atlas, stabilize(atlas, cand, sign, 1), c):
-            out.append(cand)
-    return out
+    rot, tb = invariants(atlas, c)
+    return [
+        cand for cand in classes_at(atlas, rot - sign, tb + 1)
+        if stabilize(atlas, cand, sign, 1) == c
+    ]
 
 
 # ---------------------------------------------------------------------------

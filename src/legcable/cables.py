@@ -37,7 +37,7 @@ from .atlas import (
     invariants,
 )
 from .errors import NotReduced, WrongRegime
-from .mountain import MountainRange, tally
+from .mountain import MountainRange, check_cutoff, tally
 
 
 class Regime(Enum):
@@ -95,6 +95,8 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
     """
     if regime(atlas, p, q) is not Regime.GREATER:
         raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
+    # The peak row holds the cables of the classes at tbb.
+    check_cutoff(tb_min, p * q - (q - p * atlas.tbb))
     # Underlying classes with tb_u below this floor cannot reach tb_min even
     # with i = j = 0.
     floor = ceil_div(tb_min - p * q + q, p)
@@ -146,6 +148,7 @@ def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Moun
     """
     if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
         raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
+    check_cutoff(tb_min, p * q)
     th0, th1 = lesser_thresholds(atlas, p, q)
     window = ceil_div(q, p)
     # tb of a deep ruling with zero vector is pq - (q - p tb_u); below this

@@ -40,6 +40,7 @@ from .atlas import (
     POS,
     RotTb,
     ceil_div,
+    check_stabilization,
     class_from_json,
     class_label,
     class_rows,
@@ -353,6 +354,7 @@ def component_class(atlas, link: Link, c: int):
 
 def stabilize_component(atlas, link: Link, c: int, sign: int, count: int = 1) -> Link:
     """Stabilize one component (1-based index), then canonicalize."""
+    check_stabilization(sign, count)
     a, b = _component(link, c)
     vec = list(link.vec)
     vec[c - 1] = (a + count, b) if sign == POS else (a, b + count)

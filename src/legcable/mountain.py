@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import InvalidMultiplicity, ParityViolation
+from .errors import CutoffAbovePeak, InvalidMultiplicity, ParityViolation
 
 Point = tuple[int, int]
 
@@ -61,6 +61,12 @@ class MountainRange:
                 for (r, t) in sorted(self.labels, key=lambda pt: (-pt[1], pt[0]))
             ]
         return doc
+
+
+def check_cutoff(tb_min: int, peak: int) -> None:
+    """Raise CutoffAbovePeak when the cutoff row lies above the peak row."""
+    if tb_min > peak:
+        raise CutoffAbovePeak(f"tb_min={tb_min} above the peak row tb={peak}")
 
 
 def from_counts(

@@ -328,7 +328,8 @@ def test_class_rows_match_classes_at_tb_on_confluent_atlases(atlas):
     assert class_rows(atlas, tb_min, top) == reference_rows(atlas, tb_min, top)
 
 
-def test_mountain_range_normalizes_a_few_times_per_class(monkeypatch):
+def count_normalize(monkeypatch):
+    """The list that every later ``atlas.normalize`` call appends its class to."""
     calls = []
     original = atlas_module.normalize
 
@@ -337,9 +338,110 @@ def test_mountain_range_normalizes_a_few_times_per_class(monkeypatch):
         return original(atlas, c)
 
     monkeypatch.setattr(atlas_module, "normalize", counting)
+    return calls
+
+
+def test_mountain_range_normalizes_a_few_times_per_class(monkeypatch):
+    calls = count_normalize(monkeypatch)
     mr = mountain_range(builtin_atlas("twist-even-16"), -10)
     assert mr.total() == 359
     assert len(calls) <= 6 * mr.total()
+
+
+def reference_peaks(atlas):
+    """Pairwise search: g is a peak unless a rule targets it or a stabilized
+    state of a generator at g's invariants normalizes onto Named(g)."""
+    targets = {rule.dst for rule in atlas.rules if rule.dst is not None}
+    result = []
+    for g in atlas.generators:
+        if g.id in targets:
+            continue
+        states = (
+            Named(h.id, a, h.tb - g.tb - a)
+            for h in atlas.generators
+            if h.tb > g.tb
+            for a in range(h.tb - g.tb + 1)
+        )
+        if not any(
+            invariants(atlas, state) == g.rot_tb and normalize(atlas, state) == Named(g.id)
+            for state in states
+        ):
+            result.append(g)
+    return result
+
+
+def reference_destabilizations(atlas, c, sign):
+    """Row scan: every class one row up whose stabilization equals ``c``."""
+    c = normalize(atlas, c)
+    tb = invariants(atlas, c).tb
+    if tb + 1 > atlas.tbb:
+        return []
+    return [
+        cand for cand in classes_at_tb(atlas, tb + 1)
+        if is_equal(atlas, stabilize(atlas, cand, sign, 1), c)
+    ]
+
+
+def destabilization_queries(atlas, depth):
+    """Normal forms down to ``depth`` below the peak row, raw states of at
+    most one stabilization, and Generic classes around and above the peak row."""
+    queries = [c for _, row in class_rows(atlas, atlas.tbb - depth) for c in row]
+    queries += [Named(g.id, a, b) for g in atlas.generators for a, b in ((0, 0), (1, 0), (0, 1))]
+    queries += [
+        Generic(rot, tb)
+        for tb in range(atlas.tbb - 3, atlas.tbb + 2)
+        for rot in range(-4, 5)
+        if (rot + tb) % 2
+    ]
+    return queries
+
+
+def assert_closed_forms_match_references(atlas, depth):
+    assert atlas_module.peaks(atlas) == reference_peaks(atlas)
+    for c in destabilization_queries(atlas, depth):
+        for sign in (POS, NEG):
+            assert (
+                atlas_module.destabilizations(atlas, c, sign)
+                == reference_destabilizations(atlas, c, sign)
+            ), (c, sign)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("unknot", 12), ("k-minus-5", 12), ("twist-even-2", 12), ("twist-even-3", 10),
+    ("twist-even-4", 8), ("twist-even-8", 4), ("twist-even-16", 2),
+    ("twist-even-2-surgery", 12),
+])
+def test_peaks_and_destabilizations_match_references_on_builtins(name, depth):
+    assert_closed_forms_match_references(builtin_atlas(name), depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases())
+def test_peaks_and_destabilizations_match_references_on_random_atlases(atlas):
+    # neither closed form needs confluence, so non-confluent draws stay in
+    assert_closed_forms_match_references(atlas, 6)
+
+
+def test_peaks_never_normalize(monkeypatch):
+    tw16 = builtin_atlas("twist-even-16")
+    # S sits under T, and no rule targets it: a search would normalize T+1-0
+    lower = make_atlas({
+        "name": "lower-peak",
+        "generators": [{"id": "T", "rot": 0, "tb": 1}, {"id": "S", "rot": 1, "tb": 0}],
+        "rules": [{"src": "T", "da": 1, "db": 0, "dst": "generic"}],
+        "tbb": 1,
+    })
+    calls = count_normalize(monkeypatch)
+    assert len(peaks(tw16)) == 128
+    assert [g.id for g in peaks(lower)] == ["T", "S"]
+    assert calls == []
+
+
+def test_destabilizations_normalize_at_most_twice_per_generator(monkeypatch):
+    atlas = builtin_atlas("twist-even-16")
+    calls = count_normalize(monkeypatch)
+    assert atlas_module.destabilizations(atlas, Generic(0, -39), POS) == [Generic(-1, -38)]
+    assert len(calls) <= 2 * len(atlas.generators) + 1
 
 
 def test_class_from_json_rejects_negative_counts():

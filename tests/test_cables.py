@@ -30,7 +30,13 @@ from legcable import (
     stabilize_component,
     window_classes,
 )
-from legcable.errors import NotReduced, RegimeMismatch, WrongRegime, WrongWindow
+from legcable.errors import (
+    CutoffAbovePeak,
+    NotReduced,
+    RegimeMismatch,
+    WrongRegime,
+    WrongWindow,
+)
 from legcable.oracle import brute_cable_mountain_range
 
 
@@ -162,6 +168,17 @@ def test_cable_mountain_range_fixtures():
     brute = brute_cable_mountain_range(un, 3, 2, -2).entries
     assert greedy == brute
     assert greedy[(0, 1)] == 1  # 6 - |3(-1) - 2| = 1
+
+
+def test_cable_ranges_reject_a_cutoff_above_the_peak_row():
+    k5, tw2 = builtin_atlas("k-minus-5"), builtin_atlas("twist-even-2")
+    peak = 2 * 1 - (1 - 2 * k5.tbb)  # greater (2,1) cables of the tb = -3 classes
+    assert cable_mountain_range(k5, 2, 1, peak).entries == {(0, peak): 2}
+    with pytest.raises(CutoffAbovePeak, match=f"tb_min={peak + 1} above the peak row tb={peak}"):
+        cable_mountain_range(k5, 2, 1, peak + 1)
+    assert lesser_mountain_range(tw2, 2, -3, -6).total() == 6  # two per window class
+    with pytest.raises(CutoffAbovePeak, match="above the peak row tb=-6"):
+        lesser_mountain_range(tw2, 2, -3, -5)
 
 
 def test_cable_mountain_range_wrong_regime():

@@ -160,6 +160,19 @@ def test_cable_mountain_dispatch(capsys):
     assert code == EXIT_USAGE and "enumerate" in err
 
 
+def test_cable_mountain_cutoff_above_peak_exits_two(capsys):
+    # greater (2,1) peak row of k-minus-5 is -5, lesser (2,-3) of twist-even-2 is -6
+    for atlas, p, q, tb_min in (("k-minus-5", 2, 1, 100), ("k-minus-5", 2, 1, -4),
+                                ("twist-even-2", 2, -3, -5)):
+        for fmt in ("json", "ascii", "svg"):
+            code, out, err = run_cli(
+                capsys, "cable-mountain", "--atlas", atlas, "--p", str(p), "--q", str(q),
+                "--tb-min", str(tb_min), "--format", fmt,
+            )
+            assert code == EXIT_USAGE and out == "", (atlas, tb_min, fmt)
+            assert err.startswith(f"error: tb_min={tb_min} above the peak row")
+
+
 def test_enumerate_and_permute(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--atlas", "twist-even-2", "--p", "1", "--q", "0", "--n", "2"

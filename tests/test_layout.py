@@ -2,15 +2,17 @@
 
 No module imports inside a function body (such imports hide cycles), the
 package's modules import one another without a cycle, ``cables`` imports
-nothing from ``links``, which is built on top of it, and the brute-force
-oracle does not use the row builder it checks.
+nothing from ``links``, which is built on top of it, the brute-force oracle
+does not use the row builder it checks, and the package exports nothing
+that no module, test or benchmark uses.
 """
 
 import ast
 from graphlib import TopologicalSorter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "legcable"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "legcable"
 
 
 def parse(path):
@@ -28,6 +30,15 @@ def imported_names(path):
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     return imported
+
+
+def used_names(path):
+    """Every name and attribute that ``path`` reads, calls or stores."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
 
 
 def test_no_import_inside_a_function():
@@ -58,10 +69,20 @@ def test_cables_imports_nothing_from_links():
 
 
 def test_oracle_does_not_use_the_row_builder():
-    names = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(parse(SRC / "oracle.py"))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-    assert "class_rows" not in names
+    assert "class_rows" not in used_names(SRC / "oracle.py")
     assert not any(name.endswith("class_rows") for name in imported_names(SRC / "oracle.py"))
+
+
+def test_every_export_is_used():
+    init = SRC / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(parse(init))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [SRC, ROOT / "tests", ROOT / "perfbench"]
+    used = set().union(*(
+        used_names(path) for folder in users for path in folder.rglob("*.py") if path != init
+    ))
+    assert sorted(exported - used) == []

@@ -43,6 +43,7 @@ from legcable.atlas import ceil_div
 from legcable.errors import (
     BadIndex,
     EngineError,
+    InvariantMismatch,
     LengthMismatch,
     MalformedDocument,
     NotAPermutation,
@@ -273,6 +274,18 @@ def test_stabilize_component_examples():
         link = stabilize_component(k5a, link, c, POS, 2)
     assert link.vec == ((0, 0), (0, 0))
     assert invariants(k5a, link.u) == (1, -4)
+
+
+def test_stabilize_component_rejects_bad_sign_and_count():
+    atlas, k5a = tw(), k5()
+    ncopy = make_integer_link(atlas, Named("P1"), 2, 0)
+    greater = make_greater_link(k5a, Named("A"), 2, 2, 1)
+    for bad_sign in (7, 0, "banana"):
+        with pytest.raises(InvariantMismatch, match="sign must be"):
+            stabilize_component(atlas, ncopy, 1, bad_sign)
+    for a, link in ((atlas, ncopy), (k5a, greater)):
+        with pytest.raises(InvariantMismatch, match="count must be >= 0, got -3"):
+            stabilize_component(a, link, 2, POS, -3)
 
 
 # -- isotopy -------------------------------------------------------------------
