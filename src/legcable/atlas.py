@@ -19,6 +19,13 @@ peaks (non-destabilizable generators) are the generators no rule targets.
 A stabilization of sign s moves rot by s, so the s-destabilizations of c
 are the classes at the one lattice point (rot(c) - s, tb(c) + 1) whose
 s-stabilization is c.
+
+Each atlas keeps a private table from (normal form, sign) to that answer,
+filled as questions arrive, so the twisted-copy search of integer-slope
+links asks each question once per atlas.  The table is exact with or
+without confluence: ``normalize`` is deterministic and an atlas is not
+changed after construction.  It is absent from equality, ``repr`` and the
+JSON form, and ``dataclasses.replace`` starts a copy with an empty table.
 """
 
 from __future__ import annotations
@@ -125,6 +132,8 @@ class KnotAtlas:
     _order: dict = field(default_factory=dict, repr=False, compare=False)
     _rules_by_src: dict = field(default_factory=dict, repr=False, compare=False)
     _surgery: dict = field(default_factory=dict, repr=False, compare=False)
+    # (normal form, sign) -> destabilizations, filled as questions arrive
+    _destabs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_id = {g.id: g for g in self.generators}
@@ -442,7 +451,7 @@ def class_key(atlas: KnotAtlas, c: LegClass) -> tuple:
 
 
 def class_label(atlas: KnotAtlas, c: LegClass) -> str:
-    c = normalize(atlas, c)
+    """Display name of ``c``, which must be a normal form."""
     if isinstance(c, Generic):
         return f"({c.rot},{c.tb})"
     name = atlas.generator(c.gen).name
@@ -535,13 +544,23 @@ def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
 
 
 def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]:
-    """Classes at (rot(c) - sign, tb(c) + 1) whose ``sign``-stabilization equals ``c``."""
-    c = normalize(atlas, c)
-    rot, tb = invariants(atlas, c)
-    return [
-        cand for cand in classes_at(atlas, rot - sign, tb + 1)
-        if stabilize(atlas, cand, sign, 1) == c
-    ]
+    """Classes at (rot(c) - sign, tb(c) + 1) whose ``sign``-stabilization equals ``c``.
+
+    Answered once per atlas and (normal form, sign); a normal form ``c`` is
+    then one lookup.
+    """
+    table = atlas._destabs
+    found = table.get((c, sign))
+    if found is None:
+        c = normalize(atlas, c)
+        found = table.get((c, sign))
+        if found is None:
+            rot, tb = invariants(atlas, c)
+            found = table[(c, sign)] = tuple(
+                cand for cand in classes_at(atlas, rot - sign, tb + 1)
+                if stabilize(atlas, cand, sign, 1) == c
+            )
+    return list(found)
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,11 @@ IntState = tuple[LegClass, int, StabVec]
 
 
 def int_state(atlas, L: LegClass, t: int, vec) -> IntState:
-    L = normalize(atlas, L)
+    return _state(normalize(atlas, L), t, vec)
+
+
+def _state(L: LegClass, t: int, vec) -> IntState:
+    """The state over a base ``L`` that is already a normal form."""
     vec = tuple(vec)
     if t == 0:
         vec = tuple(sorted(vec))
@@ -451,15 +455,18 @@ def int_state(atlas, L: LegClass, t: int, vec) -> IntState:
 
 
 def integer_moves(atlas, state: IntState) -> list[IntState]:
-    """All one-step identifications between twisted-copy presentations."""
+    """All one-step identifications between twisted-copy presentations.
+
+    ``state`` holds a normal form, and so does every state returned:
+    stabilizations and destabilizations are normal forms already.
+    """
     L, t, vec = state
     out = []
     if t >= 1:
         (a1, b1), rest = vec[0], vec[1:]
         if a1 >= 1:
             out.append(
-                int_state(
-                    atlas,
+                _state(
                     stabilize(atlas, L, POS, 1),
                     t - 1,
                     ((a1 - 1, b1),) + tuple((a, b + 1) for a, b in rest),
@@ -467,8 +474,7 @@ def integer_moves(atlas, state: IntState) -> list[IntState]:
             )
         if b1 >= 1:
             out.append(
-                int_state(
-                    atlas,
+                _state(
                     stabilize(atlas, L, NEG, 1),
                     t - 1,
                     ((a1, b1 - 1),) + tuple((a + 1, b) for a, b in rest),
@@ -487,16 +493,16 @@ def integer_moves(atlas, state: IntState) -> list[IntState]:
         if all(b >= 1 for _, b in rest):
             for X in destabilizations(atlas, L, POS):
                 out.append(
-                    int_state(
-                        atlas, X, t + 1,
+                    _state(
+                        X, t + 1,
                         ((a1 + 1, b1),) + tuple((a, b - 1) for a, b in rest),
                     )
                 )
         if all(a >= 1 for a, _ in rest):
             for X in destabilizations(atlas, L, NEG):
                 out.append(
-                    int_state(
-                        atlas, X, t + 1,
+                    _state(
+                        X, t + 1,
                         ((a1, b1 + 1),) + tuple((a - 1, b) for a, b in rest),
                     )
                 )

@@ -32,9 +32,6 @@ class MountainRange:
             if mult < 1:
                 raise InvalidMultiplicity(rot, tb, mult)
 
-    def multiplicity(self, rot: int, tb: int) -> int:
-        return self.entries.get((rot, tb), 0)
-
     def points(self) -> list[Point]:
         """Occupied lattice points, top row first, left to right."""
         return sorted(self.entries, key=lambda pt: (-pt[1], pt[0]))

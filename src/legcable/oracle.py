@@ -27,7 +27,6 @@ from .atlas import (
     Named,
     NEG,
     POS,
-    _stab_counts_for,
     ceil_div,
     class_label,
     invariants,
@@ -85,6 +84,16 @@ def _raw_destabs(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]:
     return []
 
 
+def _counts_at(g, rot: int, tb: int) -> Optional[tuple[int, int]]:
+    """The (a, b) with Named(g, a, b) at (rot, tb), if there is one."""
+    total = g.tb - tb
+    diff = rot - g.rot
+    if total < 0 or (total + diff) % 2 != 0:
+        return None
+    a, b = (total + diff) // 2, (total - diff) // 2
+    return (a, b) if a >= 0 and b >= 0 else None
+
+
 def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
     """One rewrite step, forward or backward."""
     out = []
@@ -99,7 +108,7 @@ def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
     for rule in atlas.rules:
         if rule.dst is None:
             if isinstance(c, Generic):
-                ab = _stab_counts_for(atlas.generator(rule.src), rot, tb)
+                ab = _counts_at(atlas.generator(rule.src), rot, tb)
                 if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
                     out.append(Named(rule.src, *ab))
         elif isinstance(c, Named) and rule.dst == c.gen:

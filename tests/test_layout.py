@@ -3,8 +3,9 @@
 No module imports inside a function body (such imports hide cycles), the
 package's modules import one another without a cycle, ``cables`` imports
 nothing from ``links``, which is built on top of it, the brute-force oracle
-does not use the row builder it checks, and the package exports nothing
-that no module, test or benchmark uses.
+does not use the row builder it checks, no module imports another's
+underscore name, and the package exports nothing, nor any public method or
+property of an exported class, that no module, test or benchmark uses.
 """
 
 import ast
@@ -73,10 +74,35 @@ def test_oracle_does_not_use_the_row_builder():
     assert not any(name.endswith("class_rows") for name in imported_names(SRC / "oracle.py"))
 
 
+def test_no_module_imports_an_underscore_name():
+    found = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def public_members(module, cls):
+    """Public methods and properties defined in the body of class ``cls``."""
+    for node in ast.walk(parse(SRC / f"{module}.py")):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return {
+                f"{cls}.{fn.name}"
+                for fn in node.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not fn.name.startswith("_")
+            }
+    return set()
+
+
 def test_every_export_is_used():
     init = SRC / "__init__.py"
     exported = {
-        alias.asname or alias.name
+        (node.module or "", alias.asname or alias.name)
         for node in ast.walk(parse(init))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
@@ -85,4 +111,7 @@ def test_every_export_is_used():
     used = set().union(*(
         used_names(path) for folder in users for path in folder.rglob("*.py") if path != init
     ))
-    assert sorted(exported - used) == []
+    names = {name for _, name in exported}
+    members = set().union(*(public_members(module, name) for module, name in exported))
+    assert sorted(names - used) == []
+    assert sorted(m for m in members if m.split(".")[1] not in used) == []
