@@ -19,7 +19,6 @@ from .atlas import (
     POS,
     RewriteRule,
     RotTb,
-    atlas_from_json,
     atlas_to_json,
     atlas_to_json_str,
     builtin_atlas,
@@ -79,7 +78,6 @@ from .oracle import (
     brute_mountain_range,
     check_confluence,
     closure_equal,
-    closure_report,
 )
 from .render import Overlay, ascii_mountain, ifsurg_overlay, svg_entries, svg_mountain
 

@@ -263,34 +263,23 @@ def ceil_div(q: int, p: int) -> int:
     return -((-q) // p)
 
 
-def twist_even_atlas(
-    n: int,
-    sigma_plus: Optional[list[int]] = None,
-    sigma_minus: Optional[list[int]] = None,
-    peak_surgery: str = "unknown",
-    name: Optional[str] = None,
-) -> KnotAtlas:
+def twist_even_atlas(n: int, surgery: bool = False) -> KnotAtlas:
     """Atlas of the negative even twist knot with 2n crossings, n >= 2.
 
     Peaks P1..Pl at (0, 1) with l = ceil(n^2/2); persistent boundary edge
     families R1..Rk at (1, 0) and L1..Lk at (-1, 0) with k = ceil(n/2).
-    A positive stabilization of a peak lands on a right-edge base via
-    sigma_plus (default: index mod k), negatives go left via sigma_minus;
-    one further stabilization of the wrong sign pushes an edge class into
-    the invariant-determined interior.  ``peak_surgery`` optionally marks
-    peak pairs as surgery-distinct ("yes"), which is the hypothesis needed
-    for cables with slope in (0, 1).
+    A positive stabilization of peak Pi lands on the right-edge base Rj and
+    a negative one on the left-edge base Lj, with j = (i - 1) mod k + 1 (the
+    maps sigma_plus and sigma_minus); one further stabilization of the wrong
+    sign pushes an edge class into the invariant-determined interior.
+    ``surgery`` marks peak pairs as surgery-distinct, which is the
+    hypothesis needed for cables with slope in (0, 1).
     """
     if n < 2:
         raise UnsupportedKind(f"twist-even atlas needs n >= 2, got {n}")
     l = ceil_div(n * n, 2)
     k = ceil_div(n, 2)
-    sp = sigma_plus if sigma_plus is not None else [((i - 1) % k) + 1 for i in range(1, l + 1)]
-    sm = sigma_minus if sigma_minus is not None else [((i - 1) % k) + 1 for i in range(1, l + 1)]
-    if len(sp) != l or len(sm) != l:
-        raise InvariantMismatch(f"sigma maps must assign all {l} peaks")
-    if sorted(set(sp)) != list(range(1, k + 1)) or sorted(set(sm)) != list(range(1, k + 1)):
-        raise InvariantMismatch("sigma maps must be surjections onto the edge bases")
+    sigma = [((i - 1) % k) + 1 for i in range(1, l + 1)]
 
     generators = (
         [{"id": f"P{i}", "name": f"P{i}", "rot": 0, "tb": 1} for i in range(1, l + 1)]
@@ -298,36 +287,34 @@ def twist_even_atlas(
         + [{"id": f"L{j}", "name": f"L{j}", "rot": -1, "tb": 0} for j in range(1, k + 1)]
     )
     rules = (
-        [{"src": f"P{i}", "da": 1, "db": 0, "dst": f"R{sp[i - 1]}"} for i in range(1, l + 1)]
-        + [{"src": f"P{i}", "da": 0, "db": 1, "dst": f"L{sm[i - 1]}"} for i in range(1, l + 1)]
+        [{"src": f"P{i}", "da": 1, "db": 0, "dst": f"R{sigma[i - 1]}"} for i in range(1, l + 1)]
+        + [{"src": f"P{i}", "da": 0, "db": 1, "dst": f"L{sigma[i - 1]}"} for i in range(1, l + 1)]
         + [{"src": f"R{j}", "da": 0, "db": 1, "dst": "generic"} for j in range(1, k + 1)]
         + [{"src": f"L{j}", "da": 1, "db": 0, "dst": "generic"} for j in range(1, k + 1)]
     )
     edges = [f"R{j}" for j in range(1, k + 1)] + [f"L{j}" for j in range(1, k + 1)]
-    surgery = [
+    distinct = [
         {"a": edges[i], "b": edges[j], "value": "yes"}
         for i in range(len(edges))
         for j in range(i + 1, len(edges))
     ]
-    if peak_surgery not in SURGERY_VALUES:
-        raise InvariantMismatch(f"peak_surgery must be one of {SURGERY_VALUES}")
-    if peak_surgery != "unknown":
-        surgery += [
-            {"a": f"P{i}", "b": f"P{j}", "value": peak_surgery}
+    if surgery:
+        distinct += [
+            {"a": f"P{i}", "b": f"P{j}", "value": "yes"}
             for i in range(1, l + 1)
             for j in range(i + 1, l + 1)
         ]
     return make_atlas(
         {
-            "name": name or f"twist-even-{n}" + ("-surgery" if peak_surgery == "yes" else ""),
+            "name": f"twist-even-{n}" + ("-surgery" if surgery else ""),
             "generators": generators,
             "rules": rules,
             "tbb": 1,
             "width_ceiling": 1,
             "uniformly_thick": True,
-            "surgery_distinct": surgery,
-            "sigma_plus": [f"R{j}" for j in sp],
-            "sigma_minus": [f"L{j}" for j in sm],
+            "surgery_distinct": distinct,
+            "sigma_plus": [f"R{j}" for j in sigma],
+            "sigma_minus": [f"L{j}" for j in sigma],
             "both_signs_determined": True,
         }
     )
@@ -386,7 +373,7 @@ def builtin_atlas(kind: str) -> KnotAtlas:
         if surgery:
             rest = rest[: -len("-surgery")]
         if rest.isdigit() and int(rest) >= 2:
-            return twist_even_atlas(int(rest), peak_surgery="yes" if surgery else "unknown")
+            return twist_even_atlas(int(rest), surgery)
     raise UnsupportedKind(f"no builtin atlas named {kind!r}")
 
 
@@ -607,10 +594,6 @@ def atlas_to_json(atlas: KnotAtlas) -> dict:
         "sigma_minus": list(atlas.sigma_minus),
         "both_signs_determined": atlas.both_signs_determined,
     }
-
-
-def atlas_from_json(doc: dict) -> KnotAtlas:
-    return make_atlas(doc)
 
 
 def atlas_to_json_str(atlas: KnotAtlas) -> str:

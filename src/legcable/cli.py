@@ -16,9 +16,9 @@ from pathlib import Path
 from . import selfcheck
 from .atlas import (
     BUILTIN_NAMES,
-    atlas_from_json,
     atlas_to_json_str,
     builtin_atlas,
+    make_atlas,
     mountain_range,
     peaks,
 )
@@ -52,7 +52,7 @@ def load_atlas(spec: str):
             f"{spec!r} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
             f"twist-even-N[-surgery]) nor an atlas JSON file"
         )
-    return atlas_from_json(json.loads(path.read_text()))
+    return make_atlas(json.loads(path.read_text()))
 
 
 def _load_link_doc(atlas, text: str, vec_override: str | None = None):

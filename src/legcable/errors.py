@@ -62,8 +62,9 @@ class MalformedDocument(EngineError):
 
 
 # What reading a field of a parsed JSON document raises when the field is
-# missing or has the wrong type.
-DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+# missing or has the wrong type; JSON reads 1e999 as inf, which int() rejects
+# with OverflowError.
+DOCUMENT_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def malformed(what: str, exc: Exception) -> MalformedDocument:

@@ -13,6 +13,10 @@ NotIsotopic only in those regimes (or when component invariants already
 differ).  Integer and lesser pairs whose distinctness rests on the
 classification's side conditions come back Unknown: the oracle never
 overclaims, since it is the trust anchor.
+
+The three ``brute_*`` ranges share one builder, ``_brute_range``: each lists
+stabilized presentations with their (rot, tb) point, and the builder counts
+closure components per point.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ def _counts_at(g, rot: int, tb: int) -> Optional[tuple[int, int]]:
     return (a, b) if a >= 0 and b >= 0 else None
 
 
-def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
-    """One rewrite step, forward or backward."""
+def _forward_steps(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
+    """The classes one forward rule application takes c to, in rule order."""
     out = []
     if isinstance(c, Named):
         for rule in atlas.rules_for(c.gen):
@@ -104,15 +108,23 @@ def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
                     out.append(Generic(*invariants(atlas, c)))
                 else:
                     out.append(Named(rule.dst, c.plus - rule.da, c.minus - rule.db))
-    rot, tb = invariants(atlas, c)
+    return out
+
+
+def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
+    """One rewrite step: the forward steps, then the backward ones, in rule order."""
+    if isinstance(c, Named):
+        return _forward_steps(atlas, c) + [
+            Named(rule.src, c.plus + rule.da, c.minus + rule.db)
+            for rule in atlas.rules
+            if rule.dst == c.gen
+        ]
+    out = []
     for rule in atlas.rules:
         if rule.dst is None:
-            if isinstance(c, Generic):
-                ab = _counts_at(atlas.generator(rule.src), rot, tb)
-                if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
-                    out.append(Named(rule.src, *ab))
-        elif isinstance(c, Named) and rule.dst == c.gen:
-            out.append(Named(rule.src, c.plus + rule.da, c.minus + rule.db))
+            ab = _counts_at(atlas.generator(rule.src), c.rot, c.tb)
+            if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
+                out.append(Named(rule.src, *ab))
     return out
 
 
@@ -237,10 +249,7 @@ def _orbit(atlas, state, moves, budget: SearchBudget):
                 parents[m] = s
                 nxt.append(m)
         frontier = nxt
-    else:
-        if frontier:
-            complete = False
-    return parents, complete
+    return parents, complete and not frontier
 
 
 def _path(parents, state) -> list:
@@ -251,7 +260,7 @@ def _path(parents, state) -> list:
     return list(reversed(out))
 
 
-def _state_label(atlas, state) -> str:
+def _state_label(state) -> str:
     # raw presentation labels: the path must show the states as explored
     if isinstance(state, Named):
         return f"{state.gen}+{state.plus}-{state.minus}"
@@ -260,16 +269,15 @@ def _state_label(atlas, state) -> str:
     return repr(state)
 
 
-def closure_equal(atlas, obj1, obj2, budget: Optional[SearchBudget] = None) -> Verdict:
+def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> Verdict:
     """Ground-truth equality by bidirectional rewrite-closure search."""
-    budget = budget or SearchBudget()
     s1, moves1, kind1, sig1 = _dispatch(atlas, obj1)
     s2, moves2, kind2, sig2 = _dispatch(atlas, obj2)
     if kind1 != kind2 or sig1 != sig2:
         raise KindMismatch(f"{kind1}{sig1} vs {kind2}{sig2}")
     orbit1, ok1 = _orbit(atlas, s1, moves1, budget)
     if s2 in orbit1:
-        path = [_state_label(atlas, s) for s in _path(orbit1, s2)]
+        path = [_state_label(s) for s in _path(orbit1, s2)]
         return Verdict.yes("rewrite path found", {"path": path})
     orbit2, ok2 = _orbit(atlas, s2, moves2, budget)
     if orbit1.keys() & orbit2.keys():
@@ -278,9 +286,9 @@ def closure_equal(atlas, obj1, obj2, budget: Optional[SearchBudget] = None) -> V
         return Verdict.maybe("budget exceeded before both orbits were explored")
     if kind1 in ("class", "greater-link"):
         return Verdict.no("orbits disjoint and fully explored")
+    if _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
+        return Verdict.no("component invariants differ")
     if kind1 == "integer-link":
-        if _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
-            return Verdict.no("component invariants differ")
         if not any(s[1] == 0 for s in orbit1) and not any(s[1] == 0 for s in orbit2):
             return Verdict.no(
                 "orbits disjoint, fully explored, and away from the n-copy sector"
@@ -288,8 +296,6 @@ def closure_equal(atlas, obj1, obj2, budget: Optional[SearchBudget] = None) -> V
         return Verdict.maybe(
             "orbits disjoint but the n-copy sector merges lie outside the move set"
         )
-    if _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
-        return Verdict.no("component invariants differ")
     return Verdict.maybe(
         "orbits disjoint; distinctness of lesser cables rests on side conditions "
         "outside the move set"
@@ -302,66 +308,29 @@ def _inv_key(atlas, obj) -> tuple:
     return tuple(sorted(component_invariants(atlas, obj)))
 
 
-def closure_report(atlas, pairs, budget: Optional[SearchBudget] = None) -> list[dict]:
-    """Batch interface: one {input, verdict, path-witness} entry per pair."""
-    out = []
-    for obj1, obj2 in pairs:
-        verdict = closure_equal(atlas, obj1, obj2, budget)
-        out.append(
-            {
-                "input": [repr(obj1), repr(obj2)],
-                "verdict": verdict.kind,
-                "path-witness": (verdict.witness or {}).get("path"),
-            }
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Confluence
 
 
 @dataclass
 class ConfluenceReport:
-    atlas: str
-    depth: int
     divergences: list
 
     @property
     def ok(self) -> bool:
         return not self.divergences
 
-    def to_json(self) -> dict:
-        return {
-            "atlas": self.atlas,
-            "depth": self.depth,
-            "ok": self.ok,
-            "divergences": self.divergences,
-        }
-
 
 def _all_normal_forms(atlas, c: LegClass, memo: dict) -> frozenset:
     """Normal forms over every maximal rewrite sequence from c."""
-    if c in memo:
-        return memo[c]
-    nexts = []
-    if isinstance(c, Named):
-        for rule in atlas.rules_for(c.gen):
-            if c.plus >= rule.da and c.minus >= rule.db:
-                if rule.dst is None:
-                    nexts.append(Generic(*invariants(atlas, c)))
-                else:
-                    nexts.append(Named(rule.dst, c.plus - rule.da, c.minus - rule.db))
-    if not nexts:
-        memo[c] = frozenset([c])
-        return memo[c]
-    memo[c] = frozenset().union(*(_all_normal_forms(atlas, n, memo) for n in nexts))
+    if c not in memo:
+        forms = [_all_normal_forms(atlas, n, memo) for n in _forward_steps(atlas, c)]
+        memo[c] = frozenset().union(*forms) if forms else frozenset([c])
     return memo[c]
 
 
-def check_confluence(atlas, budget: Optional[SearchBudget] = None) -> ConfluenceReport:
+def check_confluence(atlas, budget: SearchBudget = SearchBudget(depth=8)) -> ConfluenceReport:
     """Verify every bounded presentation has a unique normal form."""
-    budget = budget or SearchBudget(depth=8)
     memo: dict = {}
     divergences = []
     for g in atlas.generators:
@@ -370,105 +339,89 @@ def check_confluence(atlas, budget: Optional[SearchBudget] = None) -> Confluence
                 start = Named(g.id, a, total - a)
                 forms = _all_normal_forms(atlas, start, memo)
                 if len(forms) > 1:
-                    divergences.append(
-                        {
-                            "input": f"{g.id}+{a}-{total - a}",
-                            "normal_forms": sorted(class_label(atlas, f) for f in forms),
-                        }
-                    )
-    return ConfluenceReport(atlas=atlas.name, depth=budget.depth, divergences=divergences)
+                    labels = sorted(class_label(atlas, f) for f in forms)
+                    divergences.append({"input": _state_label(start), "normal_forms": labels})
+    return ConfluenceReport(divergences)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force mountain ranges
 
 
-def _quotient_count(atlas, presentations, moves, budget) -> int:
-    """Number of closure components among the given presentations."""
-    remaining = list(presentations)
-    count = 0
-    seen: set = set()
-    for pres in remaining:
-        if pres in seen:
-            continue
-        orbit, complete = _orbit(atlas, pres, moves, budget)
-        if not complete:
-            raise BudgetExceeded("orbit search exceeded the budget")
-        seen.update(orbit.keys())
-        count += 1
-    return count
+def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> MountainRange:
+    """Closure components per point among ``(point, presentation)`` pairs.
 
-
-def brute_mountain_range(atlas, tb_min: int, budget: Optional[SearchBudget] = None) -> MountainRange:
-    """Atlas mountain range recomputed from peak cones and rewrite closure."""
-    budget = budget or SearchBudget()
+    Points below ``tb_min`` are dropped; an orbit the budget cuts short
+    raises BudgetExceeded rather than miscounting.
+    """
     buckets: dict[tuple[int, int], list] = {}
-    for g in peaks(atlas):
-        for total in range(g.tb - tb_min + 1):
-            for a in range(total + 1):
-                pres = Named(g.id, a, total - a)
-                rot, tb = invariants(atlas, pres)
-                buckets.setdefault((rot, tb), []).append(pres)
-    entries = {
-        point: _quotient_count(atlas, pres_list, legclass_moves, budget)
-        for point, pres_list in buckets.items()
-    }
+    for point, pres in pairs:
+        if point[1] >= tb_min:
+            buckets.setdefault(point, []).append(pres)
+    entries = dict.fromkeys(buckets, 0)
+    for point, presentations in buckets.items():
+        seen: set = set()
+        for pres in presentations:
+            if pres not in seen:
+                orbit, complete = _orbit(atlas, pres, moves, budget)
+                if not complete:
+                    raise BudgetExceeded("orbit search exceeded the budget")
+                seen.update(orbit)
+                entries[point] += 1
     return from_counts(entries, tb_min)
 
 
+def brute_mountain_range(
+    atlas, tb_min: int, budget: SearchBudget = SearchBudget()
+) -> MountainRange:
+    """Atlas mountain range recomputed from peak cones and rewrite closure."""
+    cones = (
+        Named(g.id, a, total - a)
+        for g in peaks(atlas)
+        for total in range(g.tb - tb_min + 1)
+        for a in range(total + 1)
+    )
+    pairs = ((tuple(invariants(atlas, c)), c) for c in cones)
+    return _brute_range(atlas, pairs, legclass_moves, tb_min, budget)
+
+
 def brute_cable_mountain_range(
-    atlas, p: int, q: int, tb_min: int, budget: Optional[SearchBudget] = None
+    atlas, p: int, q: int, tb_min: int, budget: SearchBudget = SearchBudget()
 ) -> MountainRange:
     """Greater-cable range from stabilizations of peak cables plus closure.
 
     A cable knot is a 1-component greater link, so its presentations are
     the n = 1 states of the greater-link move set.
     """
-    budget = budget or SearchBudget()
-    buckets: dict[tuple[int, int], list] = {}
-    for g in peaks(atlas):
-        top = GreaterLink(Named(g.id), 1, p, q, ((0, 0),))
-        _, tb_top = component_invariants(atlas, top)[0]
-        for i in range(tb_top - tb_min + 1):
-            for j in range(tb_top - tb_min - i + 1):
-                pres = GreaterLink(Named(g.id), 1, p, q, ((i, j),))
-                rot, tb = component_invariants(atlas, pres)[0]
-                if tb < tb_min:
-                    continue
-                buckets.setdefault((rot, tb), []).append(_greater_state(pres))
-    entries = {
-        point: _quotient_count(atlas, pres_list, _greater_moves, budget)
-        for point, pres_list in buckets.items()
-    }
-    return from_counts(entries, tb_min)
+
+    def pairs():
+        for g in peaks(atlas):
+            top = GreaterLink(Named(g.id), 1, p, q, ((0, 0),))
+            _, tb_top = component_invariants(atlas, top)[0]
+            for i in range(tb_top - tb_min + 1):
+                for j in range(tb_top - tb_min - i + 1):
+                    pres = GreaterLink(Named(g.id), 1, p, q, ((i, j),))
+                    yield tuple(component_invariants(atlas, pres)[0]), _greater_state(pres)
+
+    return _brute_range(atlas, pairs(), _greater_moves, tb_min, budget)
 
 
 def brute_lesser_mountain_range(
-    atlas, p: int, q: int, tb_min: int, budget: Optional[SearchBudget] = None
+    atlas, p: int, q: int, tb_min: int, budget: SearchBudget = SearchBudget()
 ) -> MountainRange:
     """Lesser-cable knot range from stabilized standard cables plus closure."""
-    budget = budget or SearchBudget()
-    buckets: dict[tuple[int, int], list] = {}
     peak_tb = p * q
-    for w in window_classes(atlas, p, q):
-        for sign in (POS, NEG):
-            for total in range(peak_tb - tb_min + 1):
-                for a in range(total + 1):
-                    pres = ("lesser", DIVIDE, w, sign, p, q, ((a, total - a),))
-                    rot = _lesser_pres_rot(atlas, pres)
-                    tb = peak_tb - total
-                    buckets.setdefault((rot, tb), []).append(pres)
-    entries = {
-        point: _quotient_count(atlas, pres_list, _lesser_moves, budget)
-        for point, pres_list in buckets.items()
-    }
-    return from_counts(entries, tb_min)
 
+    def pairs():
+        for w in window_classes(atlas, p, q):
+            rot_w, tb_w = invariants(atlas, w)
+            for sign in (POS, NEG):
+                # the divide presentation's rot before its own stabilizations
+                rot0 = p * rot_w + sign * (p * tb_w - q)
+                for total in range(peak_tb - tb_min + 1):
+                    for a in range(total + 1):
+                        b = total - a
+                        pres = ("lesser", DIVIDE, w, sign, p, q, ((a, b),))
+                        yield (rot0 + a - b, peak_tb - total), pres
 
-def _lesser_pres_rot(atlas, state) -> int:
-    _, form, base, sign, p, q, vec = state
-    rot_b, tb_b = invariants(atlas, base)
-    a, b = vec[0]
-    if form == DIVIDE:
-        return p * rot_b + sign * (p * tb_b - q) + a - b
-    return p * rot_b + a - b
+    return _brute_range(atlas, pairs(), _lesser_moves, tb_min, budget)

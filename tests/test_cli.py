@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, dispatch."""
 
+import copy
 import json
+import random
+import time
 
 from legcable import atlas_to_json_str, builtin_atlas
 from legcable import cli
@@ -78,9 +81,12 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", "{not json", GREATER_B)
     assert code == EXIT_USAGE
     # malformed documents: no q, a list for a document, a scalar vector
-    # negative stabilization counts, a sign that is neither + nor -
+    # negative stabilization counts, a sign that is neither + nor -, and
+    # 1e999 (read by JSON as inf) as a count, a component number and a vector
     no_q = json.dumps({k: v for k, v in json.loads(GREATER_A).items() if k != "q"})
     negative = GREATER_A.replace('{"gen": "A"}', '{"gen": "A", "plus": -3}')
+    huge_plus = GREATER_A.replace('{"gen": "A"}', '{"gen": "A", "plus": 1e999}')
+    huge_n = GREATER_A.replace('"n": 2', '"n": 1e999')
     banana = json.dumps({"regime": "noninteger-lesser", "p": 2, "q": -7, "n": 1,
                          "base": {"class": {"gen": "A"}, "sign": "banana"}})
     for args in (
@@ -90,6 +96,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         ("--vec", "5", GREATER_A, GREATER_B),
         (negative, GREATER_B),
         (banana, banana.replace("banana", "+")),
+        (huge_plus, GREATER_B),
+        (huge_n, GREATER_B),
+        ("--vec", "[[1e999,0]]", GREATER_A, GREATER_B),
     ):
         code, out, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", *args)
         assert code == EXIT_USAGE and out == "" and err.startswith("error:"), args
@@ -99,6 +108,72 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
     assert code == EXIT_USAGE and out == "" and "tbb" in err
+    spec = json.loads(atlas_to_json_str(builtin_atlas("twist-even-2")))
+    spec["generators"][0]["tb"] = "HUGE"
+    path = tmp_path / "huge-tb.json"
+    path.write_text(json.dumps(spec).replace('"HUGE"', "1e999"))
+    code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+
+
+# The README link documents, each with its atlas, a partner for the two-link
+# commands and a permutation of its components.
+README_LINKS = [
+    ("k-minus-5", json.loads(GREATER_A), json.loads(GREATER_B), "2,1"),
+    ("k-minus-5", json.loads(GREATER_B), json.loads(GREATER_A), "2,1"),
+    ("twist-even-2", {"regime": "integer-lesser", "q": 0, "n": 3,
+                      "base": {"class": {"gen": "R1"}}, "vec": [[0, 0], [0, 0], [0, 0]]},
+     None, "2,3,1"),
+]
+FIELDS = ("regime", "p", "q", "n", "t", "base", "class", "gen", "plus", "minus", "sign",
+          "form", "vec")
+SCALARS = (None, True, False, -3, -1, 0, 1, 2, 3, 10**9, 0.5, 1e999, "", "A", "R1", "+",
+           "-", "greater", "integer-lesser", "noninteger-lesser")
+
+
+def _random_json(rng, depth=0):
+    r = rng.random()
+    if depth >= 2 or r < 0.6:
+        return rng.choice(SCALARS)
+    if r < 0.8:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(FIELDS): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield node, key
+            yield from _slots(child)
+
+
+def _mutate(rng, doc):
+    """A copy of ``doc`` with one field dropped or set to a random JSON value."""
+    doc = copy.deepcopy(doc)
+    container, key = rng.choice(list(_slots(doc)))
+    if rng.random() < 0.3:
+        del container[key]
+    else:
+        container[key] = _random_json(rng)
+    return doc
+
+
+def test_mutated_link_documents_exit_zero_one_or_two(capsys):
+    rng = random.Random(20251018)
+    for _ in range(120):
+        atlas, doc, partner, perm = rng.choice(README_LINKS)
+        link = json.dumps(_mutate(rng, doc))
+        other = json.dumps(partner or doc)
+        for argv in (
+            ("isotopic", "--atlas", atlas, link, other),
+            ("componentwise", "--atlas", atlas, link, other),
+            ("permute", "--atlas", atlas, "--perm", perm, link),
+        ):
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE), (argv, err)
+            assert time.perf_counter() - start < 1.0, argv
 
 
 def test_internal_errors_exit_three(monkeypatch, capsys):

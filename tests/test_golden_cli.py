@@ -2,10 +2,11 @@
 
 Each case runs ``legcable.cli.run`` in process and compares its stdout with
 ``tests/golden/<name>.txt``.  The files hold the README quickstart commands
-(the SVG one written to stdout instead of ``--out``), ``selfcheck`` and three
-JSON mountain ranges whose label order matters.  They were captured before
-the cable-knot types were folded into the link types, so a refactor that
-changes any byte of them changes behaviour.
+(the SVG one written to stdout instead of ``--out``), ``selfcheck``, three
+JSON mountain ranges whose label order matters, and the interchange
+documents of two builtin twist atlases.  They were captured before the code
+they guard was refactored, so a refactor that changes any byte of them
+changes behaviour.
 """
 
 from pathlib import Path
@@ -54,6 +55,8 @@ CASES = {
         "cable-mountain", "--atlas", "twist-even-4", "--p", "2", "--q", "-3",
         "--tb-min", "-12", "--format", "json",
     ],
+    "atlas-show-twist-even-3": ["atlas-show", "--atlas", "twist-even-3"],
+    "atlas-show-twist-even-3-surgery": ["atlas-show", "--atlas", "twist-even-3-surgery"],
 }
 
 
