@@ -4,11 +4,16 @@ Exit codes: 0 on success (including a definite NotIsotopic), 1 when a verdict
 comes back Unknown (so scripts can branch on "the classification is silent"),
 2 on usage or validation errors, 3 on an internal error (a bug), so that a
 crash never reads as Unknown.
+
+``run(argv)`` is the in-process entry point: it returns the exit code instead
+of exiting, and builds its argument parser once per process, on the first
+call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -80,6 +85,20 @@ def _render_range(mr, fmt: str, out: str | None, overlays=None) -> None:
         _emit(json.dumps(mr.to_json(), sort_keys=True, indent=2), out)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags ``--budget`` and ``--samples``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+# Cached because building the tree cost more than most requests it parses;
+# sharing it is safe because parsing never mutates it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legcable",
@@ -120,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = link_flags(common(sub.add_parser("isotopic",
                                           help="decide Legendrian isotopy of two links")))
-    sp.add_argument("--budget", type=int, default=4000,
+    sp.add_argument("--budget", type=_positive_int, default=4000,
                     help="node cap for presentation searches")
     sp.add_argument("link1", help="link JSON document or @file")
     sp.add_argument("link2", help="link JSON document or @file")
@@ -137,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated images of components 1..n, e.g. 2,3,1")
 
     sp = sub.add_parser("selfcheck", help="run the acceptance suite")
-    sp.add_argument("--samples", type=int, default=500,
+    sp.add_argument("--samples", type=_positive_int, default=500,
                     help="randomized instances per regime for the oracle gate")
     return parser
 

@@ -405,6 +405,9 @@ def check_oracle_agreement(samples: int = 500) -> CheckResult:
             l2 = _sample_lesser(rng, atlas, n, p, q)
         compare(atlas, l1, l2, "lesser")
 
+    # a regime that was never compared must not read as agreement
+    failures += [f"{tag}: zero comparisons" for tag in ("greater", "integer", "lesser")
+                 if tag not in counts]
     detail = ", ".join(f"{tag}: {num}" for tag, num in sorted(counts.items()))
     return _result("oracle-agreement", failures, f"zero disagreements over {detail}")
 

@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, determinism, dispatch."""
 
+import argparse
 import copy
 import json
 import random
 import time
 
 from legcable import atlas_to_json_str, builtin_atlas
-from legcable import cli
+from legcable import cli, selfcheck
 from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
+from test_golden_cli import CASES
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +29,14 @@ GREATER_A = json.dumps(
     }
 )
 GREATER_B = GREATER_A.replace('"A"', '"B"')
+# Two presentations of one integer-lesser link (the first twisted-copy
+# identity), which the default budget decides as isotopic.
+INTEGER_TWIN = (
+    '{"regime":"integer-lesser","q":-1,"n":2,"base":{"class":{"gen":"R1"},"t":1},'
+    '"vec":[[1,0],[0,0]]}',
+    '{"regime":"integer-lesser","q":-1,"n":2,"base":{"class":{"gen":"R1","plus":1},"t":0},'
+    '"vec":[[0,0],[0,1]]}',
+)
 
 
 def test_mountain_ascii(capsys):
@@ -114,6 +124,17 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(spec).replace('"HUGE"', "1e999"))
     code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    # a count flag below 1 is a usage error, not a vacuous pass or an unknown
+    code, out, _ = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", *INTEGER_TWIN)
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "isotopic"
+    for args in (
+        ("selfcheck", "--samples", "0"),
+        ("selfcheck", "--samples", "-1"),
+        ("isotopic", "--atlas", "twist-even-2", "--budget", "0", *INTEGER_TWIN),
+        ("isotopic", "--atlas", "twist-even-2", "--budget", "-3", *INTEGER_TWIN),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE and out == "" and "positive integer" in err, args
 
 
 # The README link documents, each with its atlas, a partner for the two-link
@@ -308,3 +329,46 @@ def test_svg_output_to_file(tmp_path, capsys):
     assert code == EXIT_OK
     text = out_path.read_text()
     assert text.startswith("<?xml") and "(0,-1)" in text
+
+
+def test_zero_samples_fail_oracle_agreement():
+    result = selfcheck.check_oracle_agreement(0)
+    assert not result.passed
+    assert result.detail.count("zero comparisons") == 3
+    assert not all(r.passed for r in selfcheck.run_all(samples=0))
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    unknown_flag = ["mountain", "--atlas", "twist-even-2", "--tb-min", "-3", "--colour", "red"]
+    errors = [
+        unknown_flag,
+        ["mountain", "--atlas", "twist-even-2"],
+        ["isotopic", "--atlas", "no-such-atlas", GREATER_A, GREATER_B],
+        ["selfcheck", "--samples", "0"],
+    ]
+    # the golden commands, with selfcheck at one sample: its parse is the same
+    golden = [argv if argv != ["selfcheck"] else ["selfcheck", "--samples", "1"]
+              for argv in CASES.values()]
+    calls = errors + [["mountain", "--help"]] + golden + [unknown_flag]
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == (
+        [EXIT_USAGE] * len(errors) + [EXIT_OK] * (1 + len(golden)) + [EXIT_USAGE]
+    )
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for argv, answer in zip(calls, reused):
+        assert run_cli(capsys, *argv) == answer, argv
+
+
+def test_second_run_builds_no_parser(capsys, monkeypatch):
+    argv = ("mountain", "--atlas", "twist-even-2", "--tb-min", "-3")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert added == []
