@@ -13,6 +13,12 @@ through normal forms, and both are exact only then.  Nothing proves this at
 load time yet (ROADMAP item 4); the oracle's ``check_confluence`` samples it
 to a fixed depth.
 
+Named and Generic are ``typing.NamedTuple`` records, like ``RotTb``, so
+hashing, comparing and building a class runs in C.  A Named never equals a
+Generic (their lengths differ), but a Generic equals the plain (rot, tb)
+tuple or ``RotTb`` with the same fields, so no set or dict may hold both
+classes and invariant pairs.
+
 Two queries have closed forms that hold with or without confluence.
 Normalization ends on its start generator or on a rule's target, so the
 peaks (non-destabilizable generators) are the generators no rule targets.
@@ -44,7 +50,7 @@ from .errors import (
     UnsupportedKind,
     malformed,
 )
-from .mountain import MountainRange, check_cutoff, tally
+from .mountain import MountainRange, check_cutoff, check_rows, tally
 
 POS = 1
 NEG = -1
@@ -57,8 +63,7 @@ class RotTb(NamedTuple):
     tb: int
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(NamedTuple):
     """A generator stabilized ``plus`` times positively, ``minus`` negatively."""
 
     gen: str
@@ -66,8 +71,7 @@ class Named:
     minus: int = 0
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(NamedTuple):
     """A class determined by its classical invariants."""
 
     rot: int
@@ -461,7 +465,12 @@ def _stab_counts_for(g: Generator, rot: int, tb: int) -> Optional[tuple[int, int
 
 
 def classes_at_tb(atlas: KnotAtlas, tb: int) -> list[LegClass]:
-    """All distinct classes of the atlas at one tb level, sorted."""
+    """All distinct classes of the atlas at one tb level, sorted.
+
+    Walks the stabilizations of every generator down to ``tb``, so the level
+    may lie at most MAX_ROWS - 1 rows below the peak row.
+    """
+    check_rows(atlas.tbb, tb)
     found = {}
     for g in atlas.generators:
         total = g.tb - tb
@@ -484,11 +493,13 @@ def class_rows(
     generator g with g.tb = tb - 1.  So a row costs two stabilizations per
     class of the row above instead of a normalization of every raw state of
     every generator; this is exact because normal forms are unique.  Each row
-    is sorted by ``class_key``.  Empty when tb_min lies above the top row.
+    is sorted by ``class_key``.  Empty when tb_min lies above the top row;
+    TooManyRows when there would be more than MAX_ROWS rows.
     """
     tb_max = atlas.tbb if tb_max is None else tb_max
     if tb_min > tb_max:
         return []
+    check_rows(tb_max, tb_min)
     row = classes_at_tb(atlas, tb_max)
     rows = [(tb_max, row)]
     for tb in range(tb_max - 1, tb_min - 1, -1):

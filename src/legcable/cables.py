@@ -64,16 +64,18 @@ def regime(atlas: KnotAtlas, p: int, q: int) -> Regime:
     return Regime.UNSUPPORTED_WINDOW
 
 
-def _stabilized(cells):
+def _stabilized(cells, tb_min: int):
     """Labelled points of the stabilizations of unstabilized cables.
 
     A cell is (name, invariants, a_lim, b_lim); it yields ``name+a-b`` (just
     ``name`` for a = b = 0) at (rot + a - b, tb - a - b) for a < a_lim and
-    b < b_lim.
+    b < b_lim, down to the row ``tb_min``.  So a cell costs at most its
+    points above the cutoff, however large p is.
     """
     for name, (rot, tb), a_lim, b_lim in cells:
-        for a in range(a_lim):
-            for b in range(b_lim):
+        depth = tb - tb_min
+        for a in range(min(a_lim, depth + 1)):
+            for b in range(min(b_lim, depth - a + 1)):
                 yield (rot + a - b, tb - a - b), f"{name}+{a}-{b}" if a or b else name
 
 
@@ -105,7 +107,7 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
         for _, row in class_rows(atlas, floor)
         for u in row
     ]
-    return tally(sorted(_stabilized(cells)), tb_min)
+    return tally(sorted(_stabilized(cells, tb_min)), tb_min)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,7 @@ def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Moun
         for tb_u in range(window - 1, floor - 1, -1)
         for u in rows[tb_u]
     ]
-    return tally(sorted(_stabilized(cells)), tb_min)
+    return tally(sorted(_stabilized(cells, tb_min)), tb_min)
 
 
 def window_classes(atlas: KnotAtlas, p: int, q: int) -> list[LegClass]:

@@ -37,6 +37,10 @@ class CutoffAbovePeak(EngineError):
     """Mountain-range cutoff lies above the atlas peak row."""
 
 
+class TooManyRows(EngineError):
+    """A range or a class listing would walk more rows than ``mountain.MAX_ROWS``."""
+
+
 class NotReduced(EngineError):
     """Cabling slope (p, q) must satisfy p >= 1 and gcd(p, q) == 1."""
 

@@ -14,6 +14,17 @@ differ).  Integer and lesser pairs whose distinctness rests on the
 classification's side conditions come back Unknown: the oracle never
 overclaims, since it is the trust anchor.
 
+The two searches stop where they meet.  The first stops when it discovers
+the second start state (at once when the starts are equal), and the second
+stops at the first state already in the first orbit.  Neither stop can
+change a verdict: a breadth-first search under the same budget discovers
+the same states in the same order, with the same parents, up to any given
+state, so the path to the second start (the witness) is the one the full
+search records, and the second orbit meets the first within the budget
+exactly when the full second orbit intersects it.  The searches that run
+to the end -- every disjoint and every budget-cut verdict -- are the full
+searches.
+
 The three ``brute_*`` ranges share one builder, ``_brute_range``: each lists
 stabilized presentations with their (rot, tb) point, and the builder counts
 closure components per point.
@@ -230,9 +241,17 @@ def _dispatch(atlas, obj):
     raise KindMismatch(f"cannot search over {type(obj).__name__}")
 
 
-def _orbit(atlas, state, moves, budget: SearchBudget):
-    """(parents map over the orbit, fully-explored flag)."""
+def _orbit(atlas, state, moves, budget: SearchBudget, stop=()):
+    """(parents map, fully-explored flag, first state met in ``stop`` or None).
+
+    The search ends at the first state it discovers that lies in ``stop``
+    (at once if ``state`` does), with the flag False; up to that state it
+    discovers the same states in the same order, with the same parents, as
+    the search without ``stop``.
+    """
     parents = {state: None}
+    if state in stop:
+        return parents, False, state
     frontier = [state]
     complete = True
     for _ in range(budget.depth):
@@ -247,9 +266,11 @@ def _orbit(atlas, state, moves, budget: SearchBudget):
                     complete = False
                     continue
                 parents[m] = s
+                if m in stop:
+                    return parents, False, m
                 nxt.append(m)
         frontier = nxt
-    return parents, complete and not frontier
+    return parents, complete and not frontier, None
 
 
 def _path(parents, state) -> list:
@@ -275,12 +296,12 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
     s2, moves2, kind2, sig2 = _dispatch(atlas, obj2)
     if kind1 != kind2 or sig1 != sig2:
         raise KindMismatch(f"{kind1}{sig1} vs {kind2}{sig2}")
-    orbit1, ok1 = _orbit(atlas, s1, moves1, budget)
-    if s2 in orbit1:
+    orbit1, ok1, met = _orbit(atlas, s1, moves1, budget, stop={s2})
+    if met is not None:
         path = [_state_label(s) for s in _path(orbit1, s2)]
         return Verdict.yes("rewrite path found", {"path": path})
-    orbit2, ok2 = _orbit(atlas, s2, moves2, budget)
-    if orbit1.keys() & orbit2.keys():
+    orbit2, ok2, met = _orbit(atlas, s2, moves2, budget, stop=orbit1)
+    if met is not None:
         return Verdict.yes("orbits intersect")
     if not ok1 or not ok2:
         return Verdict.maybe("budget exceeded before both orbits were explored")
@@ -363,7 +384,7 @@ def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> Moun
         seen: set = set()
         for pres in presentations:
             if pres not in seen:
-                orbit, complete = _orbit(atlas, pres, moves, budget)
+                orbit, complete, _ = _orbit(atlas, pres, moves, budget)
                 if not complete:
                     raise BudgetExceeded("orbit search exceeded the budget")
                 seen.update(orbit)

@@ -1,5 +1,6 @@
 """Atlas construction, normalization, invariants, and mountain ranges."""
 
+import dataclasses
 import json
 
 import pytest
@@ -33,9 +34,11 @@ from legcable.errors import (
     MalformedDocument,
     MetadataInconsistent,
     ParityViolation,
+    TooManyRows,
     UnknownGenerator,
     UnsupportedKind,
 )
+from legcable.mountain import MAX_ROWS
 
 UNKNOT_SPEC = {
     "name": "unknot",
@@ -201,6 +204,21 @@ def test_mountain_range_fixtures():
 def test_mountain_range_cutoff_above_peak():
     with pytest.raises(CutoffAbovePeak):
         mountain_range(builtin_atlas("unknot"), 0)
+
+
+def test_row_walks_stop_at_the_row_limit():
+    atlas = builtin_atlas("twist-even-3")
+    bottom = atlas.tbb - (MAX_ROWS - 1)
+    assert classes_at_tb(atlas, bottom)
+    assert class_rows(atlas, bottom, bottom + 1)
+    for walk in (
+        lambda: classes_at_tb(atlas, bottom - 1),
+        lambda: class_rows(atlas, bottom - 1),
+        lambda: mountain_range(atlas, bottom - 1),
+        lambda: mountain_range(atlas, -10**12),
+    ):
+        with pytest.raises(TooManyRows, match=f"at most {MAX_ROWS}"):
+            walk()
 
 
 def test_mountain_range_symmetry_for_twist_atlases():
@@ -460,3 +478,58 @@ def test_atlas_json_round_trip_is_byte_stable():
         again = atlas_to_json_str(make_atlas(json.loads(text)))
         assert text == again
         assert make_atlas(json.loads(text)) == atlas
+
+
+# The class records as the frozen dataclasses they used to be.
+DataNamed = dataclasses.make_dataclass(
+    "Named", [("gen", str), ("plus", int, 0), ("minus", int, 0)], frozen=True)
+DataGeneric = dataclasses.make_dataclass("Generic", [("rot", int), ("tb", int)], frozen=True)
+
+
+def test_class_records_keep_value_semantics():
+    """Named and Generic are named tuples, and behave as the frozen
+    dataclasses they replaced.
+
+    A Generic now also equals the plain tuple and the RotTb of its fields;
+    every set and dict keyed by classes (normal forms, the destabilization
+    table, integer-closure states, oracle orbits) holds classes or states
+    built from them only, never bare invariant pairs.
+    """
+    assert Named("A", 1, 2) == Named("A", 1, 2)
+    assert hash(Named("A", 1, 2)) == hash(Named("A", 1, 2))
+    assert Named("A") == Named("A", 0, 0) and Named("A") != Named("A", 0, 1)
+    assert Generic(0, -1) == Generic(0, -1)
+    assert hash(Generic(0, -1)) == hash(Generic(0, -1))
+    assert Generic(0, -1) != Generic(-1, 0)
+    assert all(Named(g, a, b) != Generic(a, b) for g in ("A", "B") for a in range(2)
+               for b in range(2))
+    for record, field in ((Named("A", 1, 2), "plus"), (Generic(0, -1), "tb")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+        with pytest.raises(AttributeError):
+            record.other = 5
+    # witness labels and golden bytes print these
+    assert repr(Named("P1", 2, 1)) == "Named(gen='P1', plus=2, minus=1)"
+    assert repr(Named("U")) == "Named(gen='U', plus=0, minus=0)"
+    assert repr(Generic(-3, -4)) == "Generic(rot=-3, tb=-4)"
+    assert repr(DataNamed("P1", 2, 1)) == repr(Named("P1", 2, 1))
+    assert repr(DataGeneric(-3, -4)) == repr(Generic(-3, -4))
+
+
+@pytest.mark.parametrize("name", ["k-minus-5", "twist-even-3"])
+def test_class_sets_iterate_as_dataclass_sets(name):
+    # equal hashes and equal insertion order give equal iteration order
+    atlas = builtin_atlas(name)
+    classes = [c for _, row in class_rows(atlas, atlas.tbb - 12) for c in row]
+    classes += [Named(g.id, a, b) for g in atlas.generators for a in range(4) for b in range(4)]
+
+    def as_data(c):
+        return DataNamed(*c) if isinstance(c, Named) else DataGeneric(*c)
+
+    data = [as_data(c) for c in classes]
+    assert [hash(c) for c in classes] == [hash(d) for d in data]
+    assert [as_data(c) for c in set(classes)] == list(set(data))
+    keyed = {(c, sign): i for i, c in enumerate(classes) for sign in (POS, NEG)}
+    data_keyed = {(d, sign): i for i, d in enumerate(data) for sign in (POS, NEG)}
+    assert [(as_data(c), s, i) for (c, s), i in keyed.items()] == [
+        (d, s, i) for (d, s), i in data_keyed.items()]

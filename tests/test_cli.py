@@ -269,6 +269,35 @@ def test_cable_mountain_cutoff_above_peak_exits_two(capsys):
             assert err.startswith(f"error: tb_min={tb_min} above the peak row")
 
 
+def test_requests_past_the_row_limit_exit_two_fast(tmp_path, capsys):
+    # each once walked every row from its peak down and ran past 10 s
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"generators": [{"id": "g", "rot": 1, "tb": 10**20}],
+                                "rules": [], "tbb": 10**20}))
+    for args in (
+        ("mountain", "--atlas", str(path), "--tb-min", "-4"),
+        ("enumerate", "--atlas", str(path), "--p", "1", "--q", "-4"),
+        ("mountain", "--atlas", "twist-even-2", "--tb-min", str(-10**12)),
+        ("enumerate", "--atlas", "twist-even-2", "--p", "2", "--q", str(-10**12 - 1)),
+        ("cable-mountain", "--atlas", "twist-even-2", "--p", "2", "--q", str(-10**12 - 1),
+         "--tb-min", str(-2 * 10**12 - 10)),
+        ("cable-mountain", "--atlas", "unknot", "--p", "3001", "--q", "3002",
+         "--tb-min", "9000000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *args)
+        assert time.perf_counter() - start < 1.0, args
+        assert code == EXIT_USAGE and out == "", args
+        assert err.startswith("error:") and err.rstrip().endswith("at most 500 are walked"), args
+    # within the limit a wide diamond costs its points above the cutoff,
+    # not its p * p stabilizations
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "cable-mountain", "--atlas", "unknot", "--p", "3001",
+                           "--q", "3002", "--tb-min", "9002990", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and len(json.loads(out)["entries"]) == 55
+
+
 def test_enumerate_and_permute(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--atlas", "twist-even-2", "--p", "1", "--q", "0", "--n", "2"

@@ -1,25 +1,41 @@
 """Rewrite-closure oracle: equality, confluence, brute-force ranges."""
 
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legcable import (
     Generic,
+    NEG,
     Named,
+    POS,
     SearchBudget,
+    Verdict,
     brute_cable_mountain_range,
     brute_lesser_mountain_range,
     brute_mountain_range,
     builtin_atlas,
     cable_mountain_range,
     check_confluence,
+    classes_at_tb,
     closure_equal,
+    invariants,
     lesser_mountain_range,
+    lesser_thresholds,
     make_atlas,
     make_greater_link,
     make_integer_link,
+    make_lesser_link,
     mountain_range,
+    stabilize,
+    window_classes,
 )
-from legcable.errors import BudgetExceeded, KindMismatch
+from legcable import oracle as oracle_module
+from legcable.errors import BudgetExceeded, KindMismatch, WrongRegime
+from test_atlas import small_atlases
 
 # brute-force builder and greedy builder of each kind of range
 RANGES = {
@@ -186,3 +202,206 @@ def test_brute_ranges_raise_when_the_budget_cuts_an_orbit(kind):
     _, name, args = next(case for case in BRUTE_CASES if case[0] == kind)
     with pytest.raises(BudgetExceeded):
         RANGES[kind][0](builtin_atlas(name), *args, SearchBudget(depth=1))
+
+
+# ---------------------------------------------------------------------------
+# The searches that stop where they meet, against the full searches
+
+
+def full_orbit(atlas, state, moves, budget):
+    """The breadth-first orbit under ``budget``, never stopped early."""
+    parents = {state: None}
+    frontier = [state]
+    complete = True
+    for _ in range(budget.depth):
+        if not frontier:
+            break
+        nxt = []
+        for s in frontier:
+            for m in moves(atlas, s):
+                if m in parents:
+                    continue
+                if len(parents) >= budget.node_cap:
+                    complete = False
+                    continue
+                parents[m] = s
+                nxt.append(m)
+        frontier = nxt
+    return parents, complete and not frontier
+
+
+def full_orbit_closure_equal(atlas, obj1, obj2, budget=SearchBudget()):
+    """closure_equal with both orbits explored to the budget, then compared."""
+    s1, moves1, kind1, _ = oracle_module._dispatch(atlas, obj1)
+    s2, moves2, _, _ = oracle_module._dispatch(atlas, obj2)
+    orbit1, ok1 = full_orbit(atlas, s1, moves1, budget)
+    if s2 in orbit1:
+        path = [oracle_module._state_label(s) for s in oracle_module._path(orbit1, s2)]
+        return Verdict.yes("rewrite path found", {"path": path})
+    orbit2, ok2 = full_orbit(atlas, s2, moves2, budget)
+    if orbit1.keys() & orbit2.keys():
+        return Verdict.yes("orbits intersect")
+    if not ok1 or not ok2:
+        return Verdict.maybe("budget exceeded before both orbits were explored")
+    if kind1 in ("class", "greater-link"):
+        return Verdict.no("orbits disjoint and fully explored")
+    if oracle_module._inv_key(atlas, obj1) != oracle_module._inv_key(atlas, obj2):
+        return Verdict.no("component invariants differ")
+    if kind1 == "integer-link":
+        if not any(s[1] == 0 for s in orbit1) and not any(s[1] == 0 for s in orbit2):
+            return Verdict.no(
+                "orbits disjoint, fully explored, and away from the n-copy sector"
+            )
+        return Verdict.maybe(
+            "orbits disjoint but the n-copy sector merges lie outside the move set"
+        )
+    return Verdict.maybe(
+        "orbits disjoint; distinctness of lesser cables rests on side conditions "
+        "outside the move set"
+    )
+
+
+BUDGETS = (SearchBudget(), SearchBudget(depth=2), SearchBudget(node_cap=40))
+
+
+def assert_same_verdicts(atlas, pairs, budgets=BUDGETS):
+    """Equal (kind, reason, witness) from both searches under every budget;
+    returns the reasons seen."""
+    reasons = set()
+    for (x, y), budget in product(pairs, budgets):
+        got = closure_equal(atlas, x, y, budget)
+        want = full_orbit_closure_equal(atlas, x, y, budget)
+        assert (got.kind, got.reason, got.witness) == (
+            want.kind, want.reason, want.witness), (x, y, budget)
+        reasons.add(got.reason)
+    return reasons
+
+
+def bounded_classes(atlas, top=3):
+    return [Named(g.id, a, b) for g in atlas.generators for a in range(top) for b in range(top)]
+
+
+@pytest.mark.parametrize("name", ["unknot", "k-minus-5", "twist-even-2"])
+def test_meeting_searches_match_full_searches_on_class_pairs(name):
+    atlas = builtin_atlas(name)
+    pool = bounded_classes(atlas)
+    reasons = assert_same_verdicts(atlas, list(product(pool, pool)))
+    assert {"rewrite path found", "orbits disjoint and fully explored"} <= reasons
+
+
+def _shallow_vec(rng, n, top=3):
+    return tuple((rng.randint(0, top), rng.randint(0, top)) for _ in range(n))
+
+
+def sampled_link_pairs(atlas, regime, rng, count):
+    """``count`` pairs of one regime: every third a twin presentation of one
+    link, the others two independent draws."""
+    classes = [c for tb in range(atlas.tbb, atlas.tbb - 3, -1) for c in classes_at_tb(atlas, tb)]
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1, 3)
+        twin = len(pairs) % 3 == 0
+        try:
+            if regime == "greater":
+                p, q = (2, 2 * atlas.width_ceiling + 1)
+                u, vec = rng.choice(classes), _shallow_vec(rng, n)
+                if twin:
+                    pairs.append((
+                        make_greater_link(atlas, u, n, p, q, [(a + p, b) for a, b in vec]),
+                        make_greater_link(atlas, stabilize(atlas, u, POS), n, p, q, vec),
+                    ))
+                else:
+                    pairs.append((
+                        make_greater_link(atlas, u, n, p, q, vec),
+                        make_greater_link(atlas, rng.choice(classes), n, p, q,
+                                          _shallow_vec(rng, n)),
+                    ))
+            elif regime == "integer":
+                vec = _shallow_vec(rng, n, 2)
+                L, t = rng.choice(classes), rng.randint(0, 2)
+                if twin and t >= 1:
+                    lhs = ((vec[0][0] + 1, vec[0][1]),) + vec[1:]
+                    rhs = (vec[0],) + tuple((a, b + 1) for a, b in vec[1:])
+                    pairs.append((
+                        make_integer_link(atlas, L, n, t, lhs),
+                        make_integer_link(atlas, stabilize(atlas, L, POS), n, t - 1, rhs),
+                    ))
+                else:
+                    first = make_integer_link(atlas, L, n, t, vec)
+                    L2 = rng.choice(classes)
+                    t2 = invariants(atlas, L2).tb - first.q
+                    pairs.append((first, make_integer_link(atlas, L2, n, t2,
+                                                           _shallow_vec(rng, n, 2))))
+            else:
+                p, q = (2, 2 * atlas.tbb - 1)
+                window = window_classes(atlas, p, q)
+                th0, _ = lesser_thresholds(atlas, p, q)
+                w, vec = rng.choice(window), _shallow_vec(rng, n)
+                if twin:
+                    pairs.append((
+                        make_lesser_link(atlas, w, POS, n, p, q, [(a, b + th0) for a, b in vec]),
+                        make_lesser_link(atlas, w, NEG, n, p, q, [(a + th0, b) for a, b in vec]),
+                    ))
+                else:
+                    pairs.append((
+                        make_lesser_link(atlas, w, rng.choice((POS, NEG)), n, p, q, vec),
+                        make_lesser_link(atlas, rng.choice(window), rng.choice((POS, NEG)),
+                                         n, p, q, _shallow_vec(rng, n)),
+                    ))
+        except WrongRegime:
+            continue
+    return pairs
+
+
+@pytest.mark.parametrize("regime, name", [
+    ("greater", "k-minus-5"), ("greater", "twist-even-2"),
+    ("integer", "k-minus-5"), ("integer", "twist-even-2"),
+    ("lesser", "k-minus-5"), ("lesser", "twist-even-2"),
+])
+def test_meeting_searches_match_full_searches_on_link_pairs(regime, name):
+    atlas = builtin_atlas(name)
+    pairs = sampled_link_pairs(atlas, regime, random.Random(f"{regime}-{name}"), 24)
+    reasons = assert_same_verdicts(atlas, pairs)
+    assert any(r.startswith("budget exceeded") for r in reasons)
+    assert reasons & {"rewrite path found", "orbits intersect"}
+
+
+@pytest.mark.parametrize("regime", ["greater", "integer", "lesser"])
+def test_meeting_searches_match_full_searches_at_every_small_budget(regime):
+    # a search cut by its node cap must not meet a state it did not keep
+    atlas = builtin_atlas("twist-even-2")
+    pairs = sampled_link_pairs(atlas, regime, random.Random(regime), 6)
+    budgets = [SearchBudget(depth, cap) for depth in (1, 2, 3, 64) for cap in range(1, 41)]
+    reasons = assert_same_verdicts(atlas, pairs, budgets)
+    assert reasons & {"rewrite path found", "orbits intersect"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_atlases(), st.data())
+def test_meeting_searches_match_full_searches_on_random_atlases(atlas, data):
+    named = bounded_classes(atlas)
+    pool = named + [Generic(*invariants(atlas, c)) for c in named]
+    pairs = [(data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+             for _ in range(4)]
+    assert_same_verdicts(atlas, pairs)
+
+
+def test_greater_twin_search_stops_at_its_partner(monkeypatch):
+    # the twin is two moves from the first start, so the first search stops
+    # there; the whole orbit of the first start takes 62 expansions
+    atlas = builtin_atlas("twist-even-2")
+    vec = ((4, 5), (6, 4))
+    lifted = make_greater_link(atlas, Named("P1"), 2, 2, 3, [(a + 2, b) for a, b in vec])
+    twin = make_greater_link(atlas, stabilize(atlas, Named("P1"), POS), 2, 2, 3, vec)
+    calls = []
+    moves = oracle_module._greater_moves
+
+    def counting(atlas, state):
+        calls.append(state)
+        return moves(atlas, state)
+
+    monkeypatch.setattr(oracle_module, "_greater_moves", counting)
+    verdict = closure_equal(atlas, lifted, twin)
+    assert verdict.reason == "rewrite path found"
+    assert len(verdict.witness["path"]) == 3
+    assert len(calls) <= 4
