@@ -79,6 +79,13 @@ from .oracle import (
     check_confluence,
     closure_equal,
 )
-from .render import Overlay, ascii_mountain, ifsurg_overlay, svg_entries, svg_mountain
+from .render import (
+    Overlay,
+    ascii_mountain,
+    ifsurg_overlay,
+    json_mountain,
+    svg_entries,
+    svg_mountain,
+)
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .links import (
     make_link,
     permutation_realizable,
 )
-from .render import ascii_mountain, ifsurg_overlay, svg_mountain
+from .render import ascii_mountain, ifsurg_overlay, json_mountain, svg_mountain
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
@@ -82,7 +82,7 @@ def _render_range(mr, fmt: str, out: str | None, overlays=None) -> None:
     elif fmt == "svg":
         _emit(svg_mountain(mr, overlays), out)
     else:
-        _emit(json.dumps(mr.to_json(), sort_keys=True, indent=2), out)
+        _emit(json_mountain(mr), out)
 
 
 def _positive_int(text: str) -> int:

@@ -41,6 +41,10 @@ class TooManyRows(EngineError):
     """A range or a class listing would walk more rows than ``mountain.MAX_ROWS``."""
 
 
+class TooWide(EngineError):
+    """An ASCII grid would have more rot columns than ``render.MAX_COLUMNS``."""
+
+
 class NotReduced(EngineError):
     """Cabling slope (p, q) must satisfy p >= 1 and gcd(p, q) == 1."""
 

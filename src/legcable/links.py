@@ -74,6 +74,11 @@ from .errors import (
     malformed,
 )
 
+# The most components a link may have.  Every link path is linear in the
+# count, so a document or flag asking for more raises LengthMismatch before
+# any vector is built.
+MAX_COMPONENTS = 1000
+
 ISOTOPIC = "isotopic"
 NOT_ISOTOPIC = "not_isotopic"
 UNKNOWN = "unknown"
@@ -173,6 +178,8 @@ def _check_vec(vec, n: int) -> StabVec:
     """The validated vector of an n-component link; None means all zeros."""
     if n < 1:
         raise LengthMismatch(f"a link needs at least one component, got n={n}")
+    if n > MAX_COMPONENTS:
+        raise LengthMismatch(f"a link has at most {MAX_COMPONENTS} components, got n={n}")
     if vec is None:
         return ((0, 0),) * n
     try:

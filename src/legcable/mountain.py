@@ -49,22 +49,6 @@ class MountainRange:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def to_json(self) -> dict:
-        doc = {
-            "tb_min": self.tb_min,
-            "truncated": self.truncated,
-            "entries": [
-                {"rot": r, "tb": t, "multiplicity": self.entries[(r, t)]}
-                for (r, t) in self.points()
-            ],
-        }
-        if self.labels:
-            doc["labels"] = [
-                {"rot": r, "tb": t, "classes": list(self.labels[(r, t)])}
-                for (r, t) in sorted(self.labels, key=lambda pt: (-pt[1], pt[0]))
-            ]
-        return doc
-
 
 def check_rows(top: int, bottom: int) -> None:
     """Raise TooManyRows when more than MAX_ROWS rows lie from ``top`` down to ``bottom``."""

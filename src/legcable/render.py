@@ -1,17 +1,26 @@
-"""Mountain-range renderers: fixed-width ASCII grids and SVG documents.
+"""Mountain-range renderers: fixed-width ASCII grids, SVG documents and JSON.
 
-Both renderers emit exactly the entry set of the range (the SVG embeds the
-lattice data on each marker so it can be parsed back losslessly), and both
-are byte-deterministic for a fixed input.
+All three renderers emit exactly the entry set of the range (the SVG embeds
+the lattice data on each marker so it can be parsed back losslessly), and
+all three are byte-deterministic for a fixed input.  The JSON text equals
+``json.dumps(doc, sort_keys=True, indent=2)`` of the document described in
+``json_mountain``, written without the standard library's indenting encoder,
+which runs in pure Python.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from .errors import EmptyRange
+from .errors import EmptyRange, TooWide
 from .mountain import MountainRange
+
+# The most rot columns of an ASCII grid.  Its cost is rows times columns, and
+# a range's rot values are not bounded by its rows (an atlas generator or a
+# cable slope can put them anywhere), so a wider grid raises TooWide.
+MAX_COLUMNS = 2001
 
 
 def ascii_mountain(mr: MountainRange) -> str:
@@ -20,6 +29,11 @@ def ascii_mountain(mr: MountainRange) -> str:
         raise EmptyRange("mountain range has no entries")
     t_max = max(t for _, t in mr.entries)
     r_max = max(abs(r) for r, _ in mr.entries)
+    if 2 * r_max + 1 > MAX_COLUMNS:
+        raise TooWide(
+            f"{2 * r_max + 1} rot columns from rot={-r_max} to rot={r_max}; "
+            f"at most {MAX_COLUMNS} are drawn"
+        )
     width = max(len(str(m)) for m in mr.entries.values())
     rots = range(-r_max, r_max + 1)
     lines = []
@@ -34,6 +48,43 @@ def ascii_mountain(mr: MountainRange) -> str:
     marker = [" ".rjust(width) if r else "0".rjust(width) for r in rots]
     lines.append(" " * 8 + "  " + " ".join(marker) + "   (rot)")
     return "\n".join(lines) + "\n"
+
+
+def json_mountain(mr: MountainRange) -> str:
+    """The range as JSON: ``entries`` (rot, tb, multiplicity; top row first,
+    then by rot), ``labels`` (rot, tb, classes; same order, and absent when
+    the range has none), ``tb_min`` and ``truncated``.
+
+    Each entry and label block is one fixed template; class names go through
+    the string encoder that ``json.dumps`` uses, so escaping is unchanged.
+    """
+    entries, labels = mr.entries, mr.labels
+    blocks = [
+        f'{{\n      "multiplicity": {entries[pt]},\n'
+        f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
+        for pt in mr.points()
+    ]
+    parts = ['{\n  "entries": ', _json_list(blocks, "  "), ",\n"]
+    if labels:
+        blocks = []
+        for pt in sorted(labels, key=lambda pt: (-pt[1], pt[0])):
+            names = list(map(encode_basestring_ascii, labels[pt]))
+            blocks.append(
+                f'{{\n      "classes": {_json_list(names, "      ")},\n'
+                f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
+            )
+        parts += ['  "labels": ', _json_list(blocks, "  "), ",\n"]
+    truncated = "true" if mr.truncated else "false"
+    parts.append(f'  "tb_min": {mr.tb_min},\n  "truncated": {truncated}\n}}')
+    return "".join(parts)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already encoded ``items`` closing at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 @dataclass(frozen=True)

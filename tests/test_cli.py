@@ -6,7 +6,7 @@ import json
 import random
 import time
 
-from legcable import atlas_to_json_str, builtin_atlas
+from legcable import atlas_to_json, atlas_to_json_str, builtin_atlas
 from legcable import cli, selfcheck
 from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
 from test_golden_cli import CASES
@@ -92,11 +92,14 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert code == EXIT_USAGE
     # malformed documents: no q, a list for a document, a scalar vector
     # negative stabilization counts, a sign that is neither + nor -, and
-    # 1e999 (read by JSON as inf) as a count, a component number and a vector
+    # 1e999 (read by JSON as inf) as a count, a component number and a vector,
+    # and more components than links.MAX_COMPONENTS, with and without --vec
     no_q = json.dumps({k: v for k, v in json.loads(GREATER_A).items() if k != "q"})
     negative = GREATER_A.replace('{"gen": "A"}', '{"gen": "A", "plus": -3}')
     huge_plus = GREATER_A.replace('{"gen": "A"}', '{"gen": "A", "plus": 1e999}')
     huge_n = GREATER_A.replace('"n": 2', '"n": 1e999')
+    many_n = GREATER_A.replace('"n": 2', '"n": 1001')
+    many_vec = json.dumps([[0, 0]] * 1001)
     banana = json.dumps({"regime": "noninteger-lesser", "p": 2, "q": -7, "n": 1,
                          "base": {"class": {"gen": "A"}, "sign": "banana"}})
     for args in (
@@ -109,6 +112,8 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         (huge_plus, GREATER_B),
         (huge_n, GREATER_B),
         ("--vec", "[[1e999,0]]", GREATER_A, GREATER_B),
+        (many_n, GREATER_B),
+        ("--vec", many_vec, many_n, GREATER_B),
     ):
         code, out, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", *args)
         assert code == EXIT_USAGE and out == "" and err.startswith("error:"), args
@@ -197,6 +202,41 @@ def test_mutated_link_documents_exit_zero_one_or_two(capsys):
             assert time.perf_counter() - start < 1.0, argv
 
 
+# Builtin atlases whose documents the fuzz below mutates, each with the
+# flags of one mountain, cable-mountain and enumerate request on it.
+ATLAS_REQUESTS = {
+    "k-minus-5": (("--tb-min", "-7"), ("--p", "2", "--q", "1", "--tb-min", "-9"),
+                  ("--p", "2", "--q", "1", "--n", "2")),
+    "twist-even-2": (("--tb-min", "-3"), ("--p", "2", "--q", "-3", "--tb-min", "-10"),
+                     ("--p", "1", "--q", "0", "--n", "2")),
+    "unknot": (("--tb-min", "-4"), ("--p", "2", "--q", "1", "--tb-min", "-4"),
+               ("--p", "1", "--q", "-2", "--n", "2")),
+    "twist-even-2-surgery": (("--tb-min", "-3"), ("--p", "2", "--q", "1", "--tb-min", "-2"),
+                             ("--p", "2", "--q", "1", "--n", "3")),
+}
+
+
+def test_mutated_atlas_documents_exit_zero_one_or_two(tmp_path, capsys):
+    rng = random.Random(20261018)
+    docs = {name: atlas_to_json(builtin_atlas(name)) for name in ATLAS_REQUESTS}
+    path = tmp_path / "atlas.json"
+    for _ in range(120):
+        name = rng.choice(sorted(docs))
+        path.write_text(json.dumps(_mutate(rng, docs[name])))
+        mountain, cable, links = ATLAS_REQUESTS[name]
+        for argv in (
+            ("mountain", *mountain),
+            ("peaks",),
+            ("cable-mountain", *cable),
+            ("enumerate", *links),
+        ):
+            argv = (argv[0], "--atlas", str(path), *argv[1:])
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE), (argv, path.read_text(), err)
+            assert time.perf_counter() - start < 1.0, (argv, path.read_text())
+
+
 def test_internal_errors_exit_three(monkeypatch, capsys):
     def broken(atlas, tb_min):
         raise RuntimeError("boom")
@@ -208,12 +248,14 @@ def test_internal_errors_exit_three(monkeypatch, capsys):
 
 
 def test_enumerate_zero_components_exits_two(capsys):
-    for p, q in ((2, 3), (1, 0), (2, -3)):
-        code, out, err = run_cli(
-            capsys, "enumerate", "--atlas", "twist-even-2", "--p", str(p), "--q", str(q),
-            "--n", "0",
-        )
-        assert code == EXIT_USAGE and out == "" and "component" in err
+    # and so does a count above links.MAX_COMPONENTS
+    for n in ("0", "1001"):
+        for p, q in ((2, 3), (1, 0), (2, -3)):
+            code, out, err = run_cli(
+                capsys, "enumerate", "--atlas", "twist-even-2", "--p", str(p), "--q", str(q),
+                "--n", n,
+            )
+            assert code == EXIT_USAGE and out == "" and "component" in err
 
 
 def test_budget_flag_only_on_isotopic(capsys):
@@ -269,11 +311,22 @@ def test_cable_mountain_cutoff_above_peak_exits_two(capsys):
             assert err.startswith(f"error: tb_min={tb_min} above the peak row")
 
 
-def test_requests_past_the_row_limit_exit_two_fast(tmp_path, capsys):
+def test_requests_past_the_row_or_column_limit_exit_two_fast(tmp_path, capsys):
     # each once walked every row from its peak down and ran past 10 s
     path = tmp_path / "tall.json"
     path.write_text(json.dumps({"generators": [{"id": "g", "rot": 1, "tb": 10**20}],
                                 "rules": [], "tbb": 10**20}))
+    # each once drew one ASCII cell per rot from -r_max to r_max on every row:
+    # the atlas ran out of memory, the cable grid took about 1 s
+    spec = json.loads(atlas_to_json_str(builtin_atlas("k-minus-5")))
+    spec["generators"][1]["rot"] = 10**9
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(spec))
+    too_wide = (
+        ("mountain", "--atlas", str(wide), "--tb-min", "-7"),
+        ("cable-mountain", "--atlas", "twist-even-2", "--p", "1001", "--q", "-300299",
+         "--tb-min", "-300599302"),
+    )
     for args in (
         ("mountain", "--atlas", str(path), "--tb-min", "-4"),
         ("enumerate", "--atlas", str(path), "--p", "1", "--q", "-4"),
@@ -283,12 +336,17 @@ def test_requests_past_the_row_limit_exit_two_fast(tmp_path, capsys):
          "--tb-min", str(-2 * 10**12 - 10)),
         ("cable-mountain", "--atlas", "unknot", "--p", "3001", "--q", "3002",
          "--tb-min", "9000000"),
+        *too_wide,
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *args)
         assert time.perf_counter() - start < 1.0, args
         assert code == EXIT_USAGE and out == "", args
-        assert err.startswith("error:") and err.rstrip().endswith("at most 500 are walked"), args
+        limit = "at most 2001 are drawn" if args in too_wide else "at most 500 are walked"
+        assert err.startswith("error:") and err.rstrip().endswith(limit), args
+    for args in too_wide:
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["entries"], args
     # within the limit a wide diamond costs its points above the cutoff,
     # not its p * p stabilizations
     start = time.perf_counter()
@@ -358,6 +416,28 @@ def test_svg_output_to_file(tmp_path, capsys):
     assert code == EXIT_OK
     text = out_path.read_text()
     assert text.startswith("<?xml") and "(0,-1)" in text
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    # stdout gets one trailing newline that the file does not when the
+    # rendered text lacks one (JSON); the other renderers end in a newline
+    for argv in (
+        ("mountain", "--atlas", "twist-even-2", "--tb-min", "-3", "--format", "json"),
+        ("mountain", "--atlas", "twist-even-2", "--tb-min", "-3", "--format", "ascii"),
+        ("cable-mountain", "--atlas", "twist-even-4", "--p", "2", "--q", "-3",
+         "--tb-min", "-12", "--format", "json"),
+        ("cable-mountain", "--atlas", "twist-even-2-surgery", "--p", "2", "--q", "1",
+         "--tb-min", "-2", "--format", "svg", "--overlay"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        path = tmp_path / "range.out"
+        code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_OK and printed == ""
+        written = path.read_bytes()
+        if argv[-1] == "json":
+            assert not written.endswith(b"\n")
+        assert written + (b"" if written.endswith(b"\n") else b"\n") == out.encode()
 
 
 def test_zero_samples_fail_oracle_agreement():

@@ -2,11 +2,13 @@
 
 Each case runs ``legcable.cli.run`` in process and compares its stdout with
 ``tests/golden/<name>.txt``.  The files hold the README quickstart commands
-(the SVG one written to stdout instead of ``--out``), ``selfcheck``, three
-JSON mountain ranges whose label order matters, and the interchange
-documents of two builtin twist atlases.  They were captured before the code
-they guard was refactored, so a refactor that changes any byte of them
-changes behaviour.
+(the SVG one written to stdout instead of ``--out``), ``selfcheck``, five
+JSON mountain ranges (three whose label order matters, one of a single
+point, and one over the committed atlas ``atlas-quoted-names.json``, whose
+generator names hold a quote, a backslash and a non-ASCII character), and
+the interchange documents of two builtin twist atlases.  They were captured
+before the code they guard was refactored, so a refactor that changes any
+byte of them changes behaviour.
 """
 
 from pathlib import Path
@@ -54,6 +56,13 @@ CASES = {
     "lesser-twist-even-4": [
         "cable-mountain", "--atlas", "twist-even-4", "--p", "2", "--q", "-3",
         "--tb-min", "-12", "--format", "json",
+    ],
+    "mountain-quoted-names": [
+        "mountain", "--atlas", str(GOLDEN / "atlas-quoted-names.json"),
+        "--tb-min", "-3", "--format", "json",
+    ],
+    "mountain-unknot-one-point": [
+        "mountain", "--atlas", "unknot", "--tb-min", "-1", "--format", "json",
     ],
     "atlas-show-twist-even-3": ["atlas-show", "--atlas", "twist-even-3"],
     "atlas-show-twist-even-3-surgery": ["atlas-show", "--atlas", "twist-even-3-surgery"],

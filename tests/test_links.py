@@ -69,6 +69,10 @@ def test_make_link_constructors_validate():
     assert link.vec == ((0, 0), (0, 0))
     with pytest.raises(LengthMismatch):
         make_greater_link(atlas, Named("A"), 2, 2, 1, ((0, 0),))
+    most = links_module.MAX_COMPONENTS
+    assert len(make_greater_link(atlas, Named("A"), most, 2, 1).vec) == most
+    with pytest.raises(LengthMismatch):
+        make_greater_link(atlas, Named("A"), most + 1, 2, 1)
     with pytest.raises(WrongRegime):
         make_greater_link(tw(), Named("P1"), 2, 2, -3)
     doc = {

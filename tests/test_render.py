@@ -1,6 +1,10 @@
-"""ASCII and SVG mountain-range renderers."""
+"""ASCII, SVG and JSON mountain-range renderers."""
+
+import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legcable import (
     MountainRange,
@@ -8,12 +12,20 @@ from legcable import (
     builtin_atlas,
     cable_mountain_range,
     ifsurg_overlay,
+    json_mountain,
     lesser_mountain_range,
     mountain_range,
     svg_entries,
     svg_mountain,
 )
-from legcable.errors import EmptyRange, EngineError, InvalidMultiplicity, ParityViolation
+from legcable.errors import (
+    EmptyRange,
+    EngineError,
+    InvalidMultiplicity,
+    ParityViolation,
+    TooWide,
+)
+from legcable.render import MAX_COLUMNS
 
 
 def test_ascii_rows_and_digits():
@@ -38,6 +50,14 @@ def test_ascii_marks_truncation():
 def test_ascii_empty_range():
     with pytest.raises(EmptyRange):
         ascii_mountain(MountainRange(entries={}, tb_min=0))
+
+
+def test_ascii_column_limit():
+    r_max = (MAX_COLUMNS - 1) // 2
+    grid = ascii_mountain(MountainRange(entries={(r_max, 1): 1, (-r_max, 1): 1}, tb_min=1))
+    assert len(grid.splitlines()[0].split("|")[1].split()) == MAX_COLUMNS
+    with pytest.raises(TooWide):
+        ascii_mountain(MountainRange(entries={(r_max + 2, 1): 1}, tb_min=1))
 
 
 def test_mountain_range_rejects_even_parity():
@@ -99,3 +119,53 @@ def test_renderers_are_deterministic():
     mr = mountain_range(tw2, -4)
     assert svg_mountain(mr) == svg_mountain(mountain_range(tw2, -4))
     assert ascii_mountain(mr) == ascii_mountain(mountain_range(tw2, -4))
+
+
+def reference_to_json(mr):
+    """The JSON document of a range, built as a dict for ``json.dumps``."""
+    doc = {
+        "tb_min": mr.tb_min,
+        "truncated": mr.truncated,
+        "entries": [
+            {"rot": r, "tb": t, "multiplicity": mr.entries[(r, t)]}
+            for (r, t) in mr.points()
+        ],
+    }
+    if mr.labels:
+        doc["labels"] = [
+            {"rot": r, "tb": t, "classes": list(mr.labels[(r, t)])}
+            for (r, t) in sorted(mr.labels, key=lambda pt: (-pt[1], pt[0]))
+        ]
+    return doc
+
+
+coords = st.integers(-10**6, 10**6)
+# plain text plus the characters JSON escapes: quotes, backslashes, control
+# characters, and astral-plane characters (written as surrogate pairs)
+names = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u03a9\U0001d11e\U0001f600'),
+    st.characters(),
+))
+
+
+@st.composite
+def mountain_ranges(draw):
+    entries = {}
+    for r, t, m in draw(st.lists(st.tuples(coords, coords, st.integers(1, 10**4)),
+                                 max_size=12)):
+        entries[(r, t + (r + t + 1) % 2)] = m
+    labels = draw(st.dictionaries(st.tuples(coords, coords),
+                                  st.lists(names, max_size=3).map(tuple), max_size=6))
+    return MountainRange(entries=entries, tb_min=draw(coords), labels=labels,
+                         truncated=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mountain_ranges())
+@example(MountainRange(entries={}, tb_min=0, truncated=False))
+@example(MountainRange(entries={}, tb_min=-3, labels={(0, 1): ()}))
+@example(MountainRange(entries={(-12, -3): 17, (4, 1): 1}, tb_min=-3,
+                       labels={(4, 1): ('a"b\\c', "\U0001f600\n"), (-12, -3): ()}))
+def test_json_mountain_matches_the_indented_dump(mr):
+    assert json_mountain(mr) == json.dumps(reference_to_json(mr), sort_keys=True, indent=2)
+
