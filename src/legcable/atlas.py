@@ -48,6 +48,7 @@ from .errors import (
     ParityViolation,
     UnknownGenerator,
     UnsupportedKind,
+    checked,
     malformed,
 )
 from .mountain import MountainRange, check_cutoff, check_rows, tally
@@ -191,7 +192,7 @@ def _atlas_from_spec(spec: dict) -> KnotAtlas:
         if gid in seen:
             raise DuplicateId(f"generator id {gid!r} appears twice")
         seen.add(gid)
-        rot, tb = int(g["rot"]), int(g["tb"])
+        rot, tb = checked(g["rot"], int, "rot"), checked(g["tb"], int, "tb")
         if (rot + tb) % 2 == 0:
             raise ParityViolation(f"generator {gid!r} has even rot + tb = {rot + tb}")
         gens.append(Generator(gid, str(g.get("name", gid)), rot, tb))
@@ -199,7 +200,7 @@ def _atlas_from_spec(spec: dict) -> KnotAtlas:
 
     rules = []
     for r in spec.get("rules", []):
-        src, da, db = str(r["src"]), int(r["da"]), int(r["db"])
+        src, da, db = str(r["src"]), checked(r["da"], int, "da"), checked(r["db"], int, "db")
         dst = r["dst"]
         dst = None if dst in (None, "generic") else str(dst)
         if src not in by_id:
@@ -220,13 +221,14 @@ def _atlas_from_spec(spec: dict) -> KnotAtlas:
 
     if not gens:
         raise InvariantMismatch("an atlas needs at least one generator")
-    tbb = int(spec["tbb"])
+    tbb = checked(spec["tbb"], int, "tbb")
     if tbb != max(g.tb for g in gens):
         raise MetadataInconsistent(
             f"tbb={tbb} but the maximal generator tb is {max(g.tb for g in gens)}"
         )
-    width_ceiling = int(spec.get("width_ceiling", tbb))
-    uniformly_thick = bool(spec.get("uniformly_thick", False))
+    width_ceiling = checked(spec.get("width_ceiling", tbb), int, "width_ceiling")
+    uniformly_thick = checked(spec.get("uniformly_thick", False), bool, "uniformly_thick")
+    both_signs = checked(spec.get("both_signs_determined", False), bool, "both_signs_determined")
     if uniformly_thick and width_ceiling != tbb:
         raise MetadataInconsistent(
             f"uniformly thick atlases must have width_ceiling == tbb, "
@@ -259,7 +261,7 @@ def _atlas_from_spec(spec: dict) -> KnotAtlas:
         surgery_distinct=tuple(surgery),
         sigma_plus=tuple(str(x) for x in spec.get("sigma_plus", [])),
         sigma_minus=tuple(str(x) for x in spec.get("sigma_minus", [])),
-        both_signs_determined=bool(spec.get("both_signs_determined", False)),
+        both_signs_determined=both_signs,
     )
 
 
@@ -575,11 +577,12 @@ def class_from_json(doc: dict) -> LegClass:
     """Parse a class document; a negative stabilization count is malformed."""
     try:
         if "gen" in doc:
-            c = Named(str(doc["gen"]), int(doc.get("plus", 0)), int(doc.get("minus", 0)))
+            plus, minus = doc.get("plus", 0), doc.get("minus", 0)
+            c = Named(str(doc["gen"]), checked(plus, int, "plus"), checked(minus, int, "minus"))
             if c.plus < 0 or c.minus < 0:
                 raise ValueError(f"stabilization counts must be >= 0, got {doc}")
             return c
-        return Generic(int(doc["rot"]), int(doc["tb"]))
+        return Generic(checked(doc["rot"], int, "rot"), checked(doc["tb"], int, "tb"))
     except DOCUMENT_ERRORS as exc:
         raise malformed("class document", exc) from None
 

@@ -28,7 +28,7 @@ from .atlas import (
     peaks,
 )
 from .cables import Regime, cable_mountain_range, lesser_mountain_range, regime
-from .errors import EngineError, UnsupportedKind
+from .errors import EngineError, MalformedDocument, UnsupportedKind
 from .links import (
     component_invariants,
     componentwise_isotopic,
@@ -57,15 +57,23 @@ def load_atlas(spec: str):
             f"{spec!r} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
             f"twist-even-N[-surgery]) nor an atlas JSON file"
         )
-    return make_atlas(json.loads(path.read_text()))
+    return make_atlas(_read_json(path.read_text(), "atlas document"))
+
+
+def _read_json(text: str, what: str):
+    """``text`` parsed as JSON; bad syntax or too deep nesting is malformed."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedDocument(f"malformed {what}: {exc}") from None
 
 
 def _load_link_doc(atlas, text: str, vec_override: str | None = None):
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    doc = json.loads(text)
+    doc = _read_json(text, "link document")
     if vec_override is not None and isinstance(doc, dict):
-        doc["vec"] = json.loads(vec_override)
+        doc["vec"] = _read_json(vec_override, "stabilization vector")
     return make_link(atlas, doc)
 
 
@@ -169,10 +177,7 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _dispatch(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
+    except (EngineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

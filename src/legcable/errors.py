@@ -70,9 +70,8 @@ class MalformedDocument(EngineError):
 
 
 # What reading a field of a parsed JSON document raises when the field is
-# missing or has the wrong type; JSON reads 1e999 as inf, which int() rejects
-# with OverflowError.
-DOCUMENT_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+# missing or has the wrong type.
+DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def malformed(what: str, exc: Exception) -> MalformedDocument:
@@ -80,6 +79,15 @@ def malformed(what: str, exc: Exception) -> MalformedDocument:
     if isinstance(exc, KeyError):
         return MalformedDocument(f"{what} has no field {exc}")
     return MalformedDocument(f"malformed {what}: {exc}")
+
+
+def checked(value, kind: type, field: str):
+    """``value`` if its type is exactly ``kind``, int or bool, else TypeError:
+    int() would read 2.9 and "3", True is an int, and bool("false") is True."""
+    if type(value) is not kind:
+        noun = "boolean" if kind is bool else "integer"
+        raise TypeError(f"{field} must be a JSON {noun}, got {value!r}")
+    return value
 
 
 class BadIndex(EngineError):

@@ -23,6 +23,16 @@ Canonical forms per regime:
   below (costing theta1 of one sign while granting theta0 of the other);
   deep ruling forms take the same one-step push as greater cables.
 
+Two lemmas hold with or without unique normal forms.  Lesser: equal
+invariant multisets match two canonical vectors up to one constant shift,
+which the canonical bounds (the fewest of the opposite sign < theta0 and of
+its own < theta1 in divide form; of each sign < theta1 over a window class
+and < p below it in ruling form) force to zero, so the links share form,
+sign, base lattice point and sorted vector.  Integer: for t >= 1 every
+twisted-copy move keeps t - a1 - b1, the core's tb minus q, so a complete
+closure holds a t = 0 presentation iff no component has tb above q, which
+equal multisets decide alike for both links.
+
 Verdicts are three-valued; Unknown is returned exactly where the underlying
 classification is silent, with a reason naming the silent clause.
 """
@@ -71,6 +81,7 @@ from .errors import (
     RegimeMismatch,
     WrongRegime,
     WrongWindow,
+    checked,
     malformed,
 )
 
@@ -183,13 +194,16 @@ def _check_vec(vec, n: int) -> StabVec:
     if vec is None:
         return ((0, 0),) * n
     try:
-        out = tuple((int(a), int(b)) for a, b in vec)
+        out = tuple((a, b) for a, b in vec)
     except DOCUMENT_ERRORS as exc:
         raise malformed("stabilization vector", exc) from None
     if len(out) != n:
         raise LengthMismatch(f"vector has {len(out)} entries for {n} components")
-    if any(a < 0 or b < 0 for a, b in out):
-        raise LengthMismatch(f"stabilization counts must be nonnegative: {out}")
+    for a, b in out:
+        if type(a) is not int or type(b) is not int:  # errors.checked, inlined
+            raise MalformedDocument(f"malformed stabilization vector: {out} holds a non-integer")
+        if a < 0 or b < 0:
+            raise LengthMismatch(f"stabilization counts must be nonnegative: {out}")
     return out
 
 
@@ -259,20 +273,22 @@ def make_link(atlas, doc: dict) -> Link:
         raise MalformedDocument(f"a link document is a JSON object, not {type(doc).__name__}")
     try:
         reg = str(doc["regime"])
-        n = int(doc["n"])
-        p = int(doc.get("p", 1))
-        q = int(doc["q"])
+        n = checked(doc["n"], int, "n")
+        p = checked(doc.get("p", 1), int, "p")
+        q = checked(doc["q"], int, "q")
         vec = doc.get("vec") or None  # absent or empty: all zeros
         base = doc.get("base", {})
         cls = class_from_json(base["class"])
         if reg == Regime.INTEGER_LESSER.value:
             tb = invariants(atlas, cls).tb
-            t = int(base.get("t", tb - q))
+            t = checked(base.get("t", tb - q), int, "t")
     except DOCUMENT_ERRORS as exc:
         raise malformed("link document", exc) from None
     if reg == Regime.GREATER.value:
         return make_greater_link(atlas, cls, n, p, q, vec)
     if reg == Regime.INTEGER_LESSER.value:
+        if p != 1:
+            raise RegimeMismatch(f"an integer-lesser link has p = 1, got p={p}")
         if tb - t != q:
             raise RegimeMismatch(f"base tb={tb} with t={t} does not give slope q={q}")
         return make_integer_link(atlas, cls, n, t, vec)
@@ -604,16 +620,13 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
     ny = [s for s in cy if s[1] == 0]
     if not okx or not oky:
         return Verdict.maybe("presentation search exceeded its node budget")
-    if not nx and not ny:
+    # By the integer lemma nx and ny are both empty or both not.
+    if not nx:
         verdict = _compare_max_tb_components(atlas, x, y)
         if verdict is not None:
             return verdict
         return Verdict.yes(
             "maximal-tb components isotopic and the remaining invariants pair up"
-        )
-    if bool(nx) != bool(ny):
-        return Verdict.no(
-            "exactly one link is a stabilized n-copy at the cabling slope"
         )
     px = set().union(*(_pattern_tags(s[2]) for s in nx))
     py = set().union(*(_pattern_tags(s[2]) for s in ny))
@@ -690,72 +703,35 @@ def _isotopic_lesser(atlas, x: LesserLink, y: LesserLink) -> Verdict:
         return Verdict.no("component invariant multisets differ", witness)
     if _lesser_same(atlas, cx, cy):
         return Verdict.yes("identical canonical forms", witness)
-    if cx.form == DIVIDE and cy.form == DIVIDE:
-        same_base = is_equal(atlas, cx.base, cy.base)
-        if same_base:
-            # Same window class, opposite signs, below the merge thresholds.
+    # By the lesser lemma both links have one form, one sign and one base
+    # lattice point, so only their base classes differ.
+    if cx.form == DIVIDE:
+        sx = stabilize(atlas, cx.base, cx.sign, 1)
+        sy = stabilize(atlas, cy.base, cy.sign, 1)
+        if not is_equal(atlas, sx, sy):
             return Verdict.no(
-                "the two standard cables of one class stay distinct until the "
-                "threshold stabilizations are reached",
-                witness,
+                "one-sided stabilizations of the window classes differ", witness
             )
-        rx, _ = invariants(atlas, cx.base)
-        ry, _ = invariants(atlas, cy.base)
-        if rx != ry:
-            return Verdict.no("window classes have distinct rotation numbers", witness)
-        if cx.sign == cy.sign:
-            sx = stabilize(atlas, cx.base, cx.sign, 1)
-            sy = stabilize(atlas, cy.base, cy.sign, 1)
-            if not is_equal(atlas, sx, sy):
-                return Verdict.no(
-                    "one-sided stabilizations of the window classes differ", witness
-                )
-            sv = _surgery_between(atlas, cx.base, cy.base)
-            if sv == "yes":
-                return Verdict.no(
-                    "surgery on the window classes yields distinct contact "
-                    "manifolds",
-                    witness,
-                )
-            return Verdict.maybe(
-                "window classes share rotation number and one-sided "
-                "stabilizations, and surgery distinctness is not recorded; the "
-                "classification is silent",
+        if _surgery_between(atlas, cx.base, cy.base) == "yes":
+            return Verdict.no(
+                "surgery on the window classes yields distinct contact "
+                "manifolds",
                 witness,
             )
         return Verdict.maybe(
-            "standard cables of opposite signs over distinct window classes "
-            "with matching invariants; the classification is silent",
-            witness,
-        )
-    if cx.form == RULING and cy.form == RULING:
-        if is_equal(atlas, cx.base, cy.base):
-            return Verdict.no(
-                "same ruling family but component invariants are arranged "
-                "differently",
-                witness,
-            )
-        ix, iy = invariants(atlas, cx.base), invariants(atlas, cy.base)
-        if ix == iy:
-            sv = _surgery_between(atlas, cx.base, cy.base)
-            if sv == "yes":
-                return Verdict.no(
-                    "ruling families over surgery-distinct classes stay distinct",
-                    witness,
-                )
-            return Verdict.maybe(
-                "distinct ruling families with equal invariants and no recorded "
-                "surgery distinctness; the classification is silent",
-                witness,
-            )
-        return Verdict.maybe(
-            "ruling families over classes at different lattice points; the "
+            "window classes share rotation number and one-sided "
+            "stabilizations, and surgery distinctness is not recorded; the "
             "classification is silent",
             witness,
         )
+    if _surgery_between(atlas, cx.base, cy.base) == "yes":
+        return Verdict.no(
+            "ruling families over surgery-distinct classes stay distinct",
+            witness,
+        )
     return Verdict.maybe(
-        "one link is below the cable thresholds and the other is a ruling "
-        "family; the classification is silent",
+        "distinct ruling families with equal invariants and no recorded "
+        "surgery distinctness; the classification is silent",
         witness,
     )
 

@@ -237,6 +237,91 @@ def test_mutated_atlas_documents_exit_zero_one_or_two(tmp_path, capsys):
             assert time.perf_counter() - start < 1.0, (argv, path.read_text())
 
 
+def _set(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices) set."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Link documents with every integer field: the greater pair of README, an
+# integer-lesser document (t) and a noninteger-lesser one over a generic class.
+TYPED_LINKS = (
+    ("k-minus-5", json.loads(GREATER_A),
+     (("n",), ("p",), ("q",), ("base", "class", "plus"), ("base", "class", "minus"),
+      ("vec", 0, 0), ("vec", 1, 1))),
+    ("twist-even-2", json.loads(INTEGER_TWIN[0]), (("base", "t"),)),
+    ("twist-even-2", {"regime": "noninteger-lesser", "p": 2, "q": -3, "n": 1,
+                      "base": {"class": {"rot": 0, "tb": -1}, "sign": "+"}},
+     (("base", "class", "rot"), ("base", "class", "tb"))),
+)
+
+
+def test_link_fields_must_be_json_integers(capsys):
+    for atlas, doc, paths in TYPED_LINKS:
+        good = json.dumps(doc)
+        assert run_cli(capsys, "isotopic", "--atlas", atlas, good, good)[0] == EXIT_OK
+        for path in paths:
+            for bad in (2.9, True, "3"):
+                link = json.dumps(_set(doc, path, bad))
+                code, out, err = run_cli(capsys, "isotopic", "--atlas", atlas, link, link)
+                assert code == EXIT_USAGE and out == "" and err.startswith("error:"), (path, bad)
+    # each of these was truncated to an integer and answered "isotopic"
+    doc = _set(_set(json.loads(GREATER_A), ("p",), 2.9), ("base", "class", "plus"), 0.5)
+    truncated = json.dumps(_set(doc, ("vec",), [[1.99, 2], [2, 1]]))
+    code, out, err = run_cli(capsys, "isotopic", "--atlas", "k-minus-5", truncated, truncated)
+    assert code == EXIT_USAGE and out == "" and "JSON integer" in err
+
+
+def test_atlas_fields_must_be_json_integers_and_booleans(tmp_path, capsys):
+    spec = atlas_to_json(builtin_atlas("twist-even-2"))
+    path = tmp_path / "atlas.json"
+    integers = (("generators", 0, "rot"), ("generators", 0, "tb"), ("rules", 0, "da"),
+                ("rules", 0, "db"), ("tbb",), ("width_ceiling",))
+    flags = (("uniformly_thick",), ("both_signs_determined",))
+    cases = [(p, bad) for p in integers for bad in (2.9, True, "3")]
+    cases += [(p, bad) for p in flags for bad in (2.9, "3", 1, "false")]
+    for field, bad in cases:
+        path.write_text(json.dumps(_set(spec, field, bad)))
+        code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:"), (field, bad)
+    # "false" was read as true and made the unknot uniformly thick
+    unknot = atlas_to_json(builtin_atlas("unknot"))
+    path.write_text(json.dumps(dict(unknot, uniformly_thick="false")))
+    code, out, err = run_cli(capsys, "cable-mountain", "--atlas", str(path),
+                             "--p", "2", "--q", "-3", "--tb-min", "-8")
+    assert code == EXIT_USAGE and out == "" and "uniformly_thick must be a JSON boolean" in err
+
+
+def test_integer_lesser_documents_with_p_other_than_one_exit_two(capsys):
+    twin = ('{"regime":"integer-lesser","p":1,"q":0,"n":2,"base":{"class":{"gen":"P1"}},'
+            '"vec":[[1,0],[0,0]]}',
+            '{"regime":"integer-lesser","p":1,"q":0,"n":2,"base":{"class":{"gen":"R1"}},'
+            '"vec":[[0,0],[0,1]]}')
+    code, out, _ = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", *twin)
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "isotopic"
+    for p in ("2", "7"):
+        docs = [doc.replace('"p":1', f'"p":{p}') for doc in twin]
+        code, out, err = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", *docs)
+        assert code == EXIT_USAGE and out == "" and f"got p={p}" in err
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (
+        ("mountain", "--atlas", str(path), "--tb-min", "-3"),
+        ("isotopic", "--atlas", "k-minus-5", f"@{path}", GREATER_B),
+        ("isotopic", "--atlas", "k-minus-5", "--vec", deep, GREATER_A, GREATER_B),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: malformed"), argv[:3]
+
+
 def test_internal_errors_exit_three(monkeypatch, capsys):
     def broken(atlas, tb_min):
         raise RuntimeError("boom")

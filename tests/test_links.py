@@ -84,6 +84,10 @@ def test_make_link_constructors_validate():
     }
     link = make_link(tw(), doc)
     assert isinstance(link, IntegerLink) and link.t == 1
+    assert make_link(tw(), dict(doc, p=1)) == link
+    for p in (2, 7):
+        with pytest.raises(RegimeMismatch):
+            make_link(tw(), dict(doc, p=p))
     doc = {
         "regime": "noninteger-lesser",
         "p": 2,
