@@ -13,6 +13,14 @@ through normal forms, and both are exact only then.  Nothing proves this at
 load time yet (ROADMAP item 4); the oracle's ``check_confluence`` samples it
 to a fixed depth.
 
+``class_rows`` walks each stabilization cone once.  A row's Generic classes
+are one set of rot values, and the next row's are those rots moved by +1 and
+-1, plus the rot of every Generic that a stabilized Named normal form
+rewrites to; only the Named forms go through the rules.  A Generic's
+stabilization is the Generic one lattice step down whatever the rules, so
+this is the walk that stabilizes every class of a row one at a time, and it
+gives the same rows with or without confluence.
+
 Named and Generic are ``typing.NamedTuple`` records, like ``RotTb``, so
 hashing, comparing and building a class runs in C.  A Named never equals a
 Generic (their lengths differ), but a Generic equals the plain (rot, tb)
@@ -36,8 +44,8 @@ JSON form, and ``dataclasses.replace`` starts a copy with an empty table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -51,7 +59,8 @@ from .errors import (
     checked,
     malformed,
 )
-from .mountain import MountainRange, check_cutoff, check_rows, tally
+from .mountain import MountainRange, check_cutoff, check_rows
+from .render import json_array
 
 POS = 1
 NEG = -1
@@ -143,7 +152,7 @@ class KnotAtlas:
     def __post_init__(self) -> None:
         self._by_id = {g.id: g for g in self.generators}
         self._order = {g.id: i for i, g in enumerate(self.generators)}
-        self._rules_by_src = {}
+        self._rules_by_src = {g.id: [] for g in self.generators}
         for rule in self.rules:
             self._rules_by_src.setdefault(rule.src, []).append(rule)
         self._surgery = {
@@ -398,15 +407,23 @@ def invariants(atlas: KnotAtlas, c: LegClass) -> RotTb:
 
 
 def normalize(atlas: KnotAtlas, c: LegClass) -> LegClass:
-    """Apply rewrite rules until no rule triggers; Generic is already normal."""
+    """Apply rewrite rules until no rule triggers; Generic is already normal.
+
+    Each step is one lookup: every generator id has a (maybe empty) rule
+    list, so a miss means an unknown generator.
+    """
+    rules_by_src = atlas._rules_by_src
     while isinstance(c, Named):
-        atlas.generator(c.gen)  # raises UnknownGenerator early
-        for rule in atlas.rules_for(c.gen):
-            if c.plus >= rule.da and c.minus >= rule.db:
+        gen, plus, minus = c
+        rules = rules_by_src.get(gen)
+        if rules is None:
+            atlas.generator(gen)  # raises UnknownGenerator
+        for rule in rules:
+            if plus >= rule.da and minus >= rule.db:
                 if rule.dst is None:
-                    rot, tb = invariants(atlas, c)
-                    return Generic(rot, tb)
-                c = Named(rule.dst, c.plus - rule.da, c.minus - rule.db)
+                    g = atlas._by_id[gen]
+                    return Generic(g.rot + plus - minus, g.tb - plus - minus)
+                c = Named(rule.dst, plus - rule.da, minus - rule.db)
                 break
         else:
             return c
@@ -447,10 +464,13 @@ def class_label(atlas: KnotAtlas, c: LegClass) -> str:
     """Display name of ``c``, which must be a normal form."""
     if isinstance(c, Generic):
         return f"({c.rot},{c.tb})"
-    name = atlas.generator(c.gen).name
-    if c.plus == 0 and c.minus == 0:
+    return _named_label(atlas.generator(c.gen).name, c.plus, c.minus)
+
+
+def _named_label(name: str, plus: int, minus: int) -> str:
+    if plus == 0 and minus == 0:
         return name
-    return f"{name}+{c.plus}-{c.minus}"
+    return f"{name}+{plus}-{minus}"
 
 
 def _stab_counts_for(g: Generator, rot: int, tb: int) -> Optional[tuple[int, int]]:
@@ -492,11 +512,16 @@ def class_rows(
     tb_max defaults to the peak row.  Below the top row the rows form a
     stabilization cone: row tb - 1 is the set of stabilize(c, +1) and
     stabilize(c, -1) for the classes c of row tb, plus Named(g) for every
-    generator g with g.tb = tb - 1.  So a row costs two stabilizations per
-    class of the row above instead of a normalization of every raw state of
-    every generator; this is exact because normal forms are unique.  Each row
-    is sorted by ``class_key``.  Empty when tb_min lies above the top row;
-    TooManyRows when there would be more than MAX_ROWS rows.
+    generator g with g.tb = tb - 1 (a normal form, as every rule needs a
+    stabilization).  The walk keeps a row's Generic classes as one set of rot
+    values: their stabilizations are the rots r + 1 and r - 1, and only the
+    row's Named normal forms go through the rules, adding the rot of every
+    Generic they reach.  That is the per-class walk, one rot at a time, so
+    the two give the same rows on every atlas, confluent or not; both equal
+    ``classes_at_tb`` when normal forms are unique.  Each row is sorted by
+    ``class_key``: its Named forms, then its Generic classes by rot.  Empty
+    when tb_min lies above the top row; TooManyRows when there would be more
+    than MAX_ROWS rows.
     """
     tb_max = atlas.tbb if tb_max is None else tb_max
     if tb_min > tb_max:
@@ -504,11 +529,26 @@ def class_rows(
     check_rows(tb_max, tb_min)
     row = classes_at_tb(atlas, tb_max)
     rows = [(tb_max, row)]
+    named = [c for c in row if isinstance(c, Named)]
+    rots = {c.rot for c in row if isinstance(c, Generic)}
+    order = atlas._order
+    born: dict[int, list[LegClass]] = {}
+    for g in atlas.generators:
+        if tb_min <= g.tb < tb_max:
+            born.setdefault(g.tb, []).append(Named(g.id))
     for tb in range(tb_max - 1, tb_min - 1, -1):
-        found = {stabilize(atlas, c, sign, 1) for c in row for sign in (POS, NEG)}
-        found.update(normalize(atlas, Named(g.id)) for g in atlas.generators if g.tb == tb)
-        row = sorted(found, key=lambda c: class_key(atlas, c))
-        rows.append((tb, row))
+        rots = {r + 1 for r in rots} | {r - 1 for r in rots}
+        found = set(born.get(tb, ()))
+        for gen, plus, minus in named:
+            for c in (normalize(atlas, Named(gen, plus + 1, minus)),
+                      normalize(atlas, Named(gen, plus, minus + 1))):
+                if isinstance(c, Named):
+                    found.add(c)
+                else:
+                    rots.add(c.rot)
+        # sorted, never in set order: the row is the same under every hash seed
+        named = sorted(found, key=lambda c: (order[c.gen], c.plus, c.minus))
+        rows.append((tb, named + [Generic(r, tb) for r in sorted(rots)]))
     return rows
 
 
@@ -531,15 +571,35 @@ def peaks(atlas: KnotAtlas) -> list[Generator]:
 
 
 def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
-    """Multiplicities of distinct classes per (rot, tb) down to tb_min."""
+    """Multiplicities of distinct classes per (rot, tb) down to tb_min.
+
+    Counted straight from ``class_rows``: the labels of a point keep row
+    order, and the range is truncated exactly when the cutoff row is
+    occupied, as ``mountain.tally`` would have it.
+    """
     check_cutoff(tb_min, atlas.tbb)
-    return tally(
-        (
-            ((invariants(atlas, cls).rot, tb), class_label(atlas, cls))
-            for tb, row in class_rows(atlas, tb_min)
-            for cls in row
-        ),
-        tb_min,
+    by_id = atlas._by_id
+    labels: dict[tuple[int, int], list[str]] = {}
+    rows = class_rows(atlas, tb_min)
+    for tb, row in rows:
+        for c in row:
+            if isinstance(c, Named):
+                g = by_id[c.gen]
+                point = (g.rot + c.plus - c.minus, tb)
+                label = _named_label(g.name, c.plus, c.minus)
+            else:
+                point = (c.rot, tb)
+                label = f"({c.rot},{tb})"
+            names = labels.get(point)
+            if names is None:
+                labels[point] = [label]
+            else:
+                names.append(label)
+    return MountainRange(
+        entries={pt: len(names) for pt, names in labels.items()},
+        tb_min=tb_min,
+        labels={pt: tuple(names) for pt, names in labels.items()},
+        truncated=bool(rows[-1][1]),
     )
 
 
@@ -611,5 +671,42 @@ def atlas_to_json(atlas: KnotAtlas) -> dict:
 
 
 def atlas_to_json_str(atlas: KnotAtlas) -> str:
-    """Byte-stable serialization: sorted keys, fixed separators."""
-    return json.dumps(atlas_to_json(atlas), sort_keys=True, indent=2) + "\n"
+    """Byte-stable serialization: ``json.dumps(atlas_to_json(atlas),
+    sort_keys=True, indent=2)`` and a newline.
+
+    Written from one template per generator, rule and surgery entry, keys in
+    sorted order, without the standard library's indenting encoder, which
+    runs in pure Python.  Strings go through the string encoder that
+    ``json.dumps`` uses, so escaping is unchanged.
+    """
+    enc = encode_basestring_ascii
+    gens = [
+        f'{{\n      "id": {enc(g.id)},\n      "name": {enc(g.name)},\n'
+        f'      "rot": {g.rot},\n      "tb": {g.tb}\n    }}'
+        for g in atlas.generators
+    ]
+    rules = [
+        f'{{\n      "da": {r.da},\n      "db": {r.db},\n'
+        f'      "dst": {enc(r.dst if r.dst else "generic")},\n      "src": {enc(r.src)}\n    }}'
+        for r in atlas.rules
+    ]
+    surgery = [
+        f'{{\n      "a": {enc(a)},\n      "b": {enc(b)},\n      "value": {enc(v)}\n    }}'
+        for (a, b, v) in atlas.surgery_distinct
+    ]
+    return (
+        f'{{\n  "both_signs_determined": {_json_bool(atlas.both_signs_determined)},\n'
+        f'  "generators": {json_array(gens, "  ")},\n'
+        f'  "name": {enc(atlas.name)},\n'
+        f'  "rules": {json_array(rules, "  ")},\n'
+        f'  "sigma_minus": {json_array(list(map(enc, atlas.sigma_minus)), "  ")},\n'
+        f'  "sigma_plus": {json_array(list(map(enc, atlas.sigma_plus)), "  ")},\n'
+        f'  "surgery_distinct": {json_array(surgery, "  ")},\n'
+        f'  "tbb": {atlas.tbb},\n'
+        f'  "uniformly_thick": {_json_bool(atlas.uniformly_thick)},\n'
+        f'  "width_ceiling": {atlas.width_ceiling}\n}}\n'
+    )
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"

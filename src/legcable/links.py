@@ -755,8 +755,11 @@ def componentwise_isotopic(atlas, link1: Link, link2: Link) -> bool:
     return classes(link1) == classes(link2)
 
 
-def permutation_realizable(atlas, link: Link, perm) -> Verdict:
-    """Whether relabeling components by ``perm`` (1-based) is realizable."""
+def permutation_realizable(atlas, link: Link, perm, node_cap: int = 4000) -> Verdict:
+    """Whether relabeling components by ``perm`` (1-based) is realizable.
+
+    ``node_cap`` bounds the presentation search of an integer-slope link.
+    """
     n = link.n
     sigma = [int(v) for v in perm]
     if sorted(sigma) != list(range(1, n + 1)):
@@ -773,7 +776,7 @@ def permutation_realizable(atlas, link: Link, perm) -> Verdict:
         )
     if not preserving:
         return Verdict.no("permutation moves components with distinct invariants")
-    states, complete = integer_closure(atlas, link)
+    states, complete = integer_closure(atlas, link, node_cap)
     if not any(s[1] == 0 for s in states):
         if not complete:
             return Verdict.maybe(

@@ -11,8 +11,9 @@ Point = tuple[int, int]
 
 # The most tb rows a range, an enumeration or a class listing walks, its top
 # row included.  Work grows with the square of the depth: at the limit a
-# builtin mountain takes about 1.5 s and an integer-slope enumerate (125k
-# links) about 2.7 s on a 2-vCPU host.  Deeper requests raise TooManyRows.
+# builtin mountain takes about 0.4 s to count and 0.4-0.85 s as a CLI request
+# with its output, and an integer-slope enumerate (126k links) about 1.1 s
+# on a 2-vCPU host.  Deeper requests raise TooManyRows.
 MAX_ROWS = 500
 
 

@@ -282,12 +282,21 @@ def _path(parents, state) -> list:
 
 
 def _state_label(state) -> str:
-    # raw presentation labels: the path must show the states as explored
+    """A state as explored, never normalized.
+
+    A class is ``gen+a-b`` or ``(rot,tb)``.  A link state is its fields in
+    parentheses: classes spelled the same way, tags and numbers plain, and
+    the stabilization vector, always last, as ``[+a-b,...]``.
+    """
     if isinstance(state, Named):
         return f"{state.gen}+{state.plus}-{state.minus}"
     if isinstance(state, Generic):
         return f"({state.rot},{state.tb})"
-    return repr(state)
+    if not isinstance(state, tuple):
+        return str(state)
+    *fields, vec = state
+    stabs = ",".join(f"+{a}-{b}" for a, b in vec)
+    return "(" + ", ".join(map(_state_label, fields)) + f", [{stabs}])"
 
 
 def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> Verdict:

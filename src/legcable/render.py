@@ -64,23 +64,24 @@ def json_mountain(mr: MountainRange) -> str:
         f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
         for pt in mr.points()
     ]
-    parts = ['{\n  "entries": ', _json_list(blocks, "  "), ",\n"]
+    parts = ['{\n  "entries": ', json_array(blocks, "  "), ",\n"]
     if labels:
         blocks = []
         for pt in sorted(labels, key=lambda pt: (-pt[1], pt[0])):
             names = list(map(encode_basestring_ascii, labels[pt]))
             blocks.append(
-                f'{{\n      "classes": {_json_list(names, "      ")},\n'
+                f'{{\n      "classes": {json_array(names, "      ")},\n'
                 f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
             )
-        parts += ['  "labels": ', _json_list(blocks, "  "), ",\n"]
+        parts += ['  "labels": ', json_array(blocks, "  "), ",\n"]
     truncated = "true" if mr.truncated else "false"
     parts.append(f'  "tb_min": {mr.tb_min},\n  "truncated": {truncated}\n}}')
     return "".join(parts)
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON array of already encoded ``items`` closing at ``indent``."""
+def json_array(items: list[str], indent: str) -> str:
+    """A JSON array of already encoded ``items`` closing at ``indent``, as
+    ``json.dumps(..., indent=2)`` writes it."""
     if not items:
         return "[]"
     inner = indent + "  "

@@ -8,14 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legcable import (
+    Generator,
     Generic,
+    KnotAtlas,
     Named,
     NEG,
     POS,
+    RewriteRule,
+    atlas_to_json,
     atlas_to_json_str,
     builtin_atlas,
     check_confluence,
     class_from_json,
+    class_label,
     class_rows,
     classes_at_tb,
     invariants,
@@ -38,7 +43,7 @@ from legcable.errors import (
     UnknownGenerator,
     UnsupportedKind,
 )
-from legcable.mountain import MAX_ROWS
+from legcable.mountain import MAX_ROWS, tally
 
 UNKNOT_SPEC = {
     "name": "unknot",
@@ -286,6 +291,68 @@ def reference_rows(atlas, tb_min, tb_max=None):
     return [(tb, classes_at_tb(atlas, tb)) for tb in range(tb_max, tb_min - 1, -1)]
 
 
+def reference_normalize(atlas, c):
+    """The rewrite loop one generator lookup and one ``invariants`` call at a time."""
+    while isinstance(c, Named):
+        atlas.generator(c.gen)
+        for rule in atlas.rules_for(c.gen):
+            if c.plus >= rule.da and c.minus >= rule.db:
+                if rule.dst is None:
+                    return Generic(*invariants(atlas, c))
+                c = Named(rule.dst, c.plus - rule.da, c.minus - rule.db)
+                break
+        else:
+            return c
+    return c
+
+
+def per_class_rows(atlas, tb_min, tb_max=None):
+    """The stabilization cone walked one class at a time: both stabilizations
+    of every class of a row, Generic ones included, plus the generators born
+    on the next row, deduplicated and sorted by ``class_key``."""
+    tb_max = atlas.tbb if tb_max is None else tb_max
+    if tb_min > tb_max:
+        return []
+    row = classes_at_tb(atlas, tb_max)
+    rows = [(tb_max, row)]
+    for tb in range(tb_max - 1, tb_min - 1, -1):
+        found = set()
+        for c in row:
+            if isinstance(c, Generic):
+                found.update(Generic(c.rot + s, c.tb - 1) for s in (POS, NEG))
+            else:
+                found.add(reference_normalize(atlas, Named(c.gen, c.plus + 1, c.minus)))
+                found.add(reference_normalize(atlas, Named(c.gen, c.plus, c.minus + 1)))
+        found.update(reference_normalize(atlas, Named(g.id)) for g in atlas.generators
+                     if g.tb == tb)
+        row = sorted(found, key=lambda c: atlas_module.class_key(atlas, c))
+        rows.append((tb, row))
+    return rows
+
+
+def assert_rows_are_the_per_class_walk(atlas, tb_min, tb_max=None):
+    rows = class_rows(atlas, tb_min, tb_max)
+    want = per_class_rows(atlas, tb_min, tb_max)
+    assert rows == want
+    # a Generic also equals its bare (rot, tb) tuple, so compare the types too
+    assert [[type(c) for c in row] for _, row in rows] == [[type(c) for c in row]
+                                                           for _, row in want]
+
+
+def assert_mountain_range_counts_the_rows(atlas, tb_min):
+    """``mountain_range`` equals ``tally`` over the per-class rows: entries,
+    label tuples in order, and ``truncated``."""
+    want = tally(
+        (((invariants(atlas, c).rot, tb), class_label(atlas, c))
+         for tb, row in per_class_rows(atlas, tb_min) for c in row),
+        tb_min,
+    )
+    got = mountain_range(atlas, tb_min)
+    assert got.entries == want.entries
+    assert got.labels == want.labels
+    assert (got.tb_min, got.truncated) == (want.tb_min, want.truncated)
+
+
 @pytest.mark.parametrize("name, depth", [
     ("unknot", 25), ("k-minus-5", 25), ("twist-even-2", 25), ("twist-even-3", 25),
     ("twist-even-4", 25), ("twist-even-8", 25), ("twist-even-16", 10),
@@ -294,8 +361,11 @@ def reference_rows(atlas, tb_min, tb_max=None):
 def test_class_rows_match_classes_at_tb_on_builtins(name, depth):
     atlas = builtin_atlas(name)
     assert class_rows(atlas, atlas.tbb - depth) == reference_rows(atlas, atlas.tbb - depth)
+    assert_rows_are_the_per_class_walk(atlas, atlas.tbb - depth)
+    assert_mountain_range_counts_the_rows(atlas, atlas.tbb - depth)
     top = atlas.tbb - 3
     assert class_rows(atlas, top - 6, top) == reference_rows(atlas, top - 6, top)
+    assert_rows_are_the_per_class_walk(atlas, top - 6, top)
     assert class_rows(atlas, atlas.tbb + 1) == []
     assert class_rows(atlas, top + 1, top) == []
 
@@ -343,6 +413,42 @@ def test_class_rows_match_classes_at_tb_on_confluent_atlases(atlas):
     assert class_rows(atlas, tb_min) == reference_rows(atlas, tb_min)
     top = atlas.tbb - 2
     assert class_rows(atlas, tb_min, top) == reference_rows(atlas, tb_min, top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases())
+def test_class_rows_are_the_per_class_walk_on_random_atlases(atlas):
+    # no confluence assumption: the rot-set walk is the per-class walk on
+    # every atlas, whether or not its rows are the classes of each level
+    tb_min = min(g.tb for g in atlas.generators) - 8
+    assert_rows_are_the_per_class_walk(atlas, tb_min)
+    assert_rows_are_the_per_class_walk(atlas, tb_min, atlas.tbb - 2)
+    assert_mountain_range_counts_the_rows(atlas, tb_min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7),
+                                           st.integers(0, 7)), min_size=1, max_size=12))
+def test_normalize_is_the_reference_loop(atlas, raw):
+    gens = atlas.generators
+    for i, a, b in raw:
+        c = Named(gens[i % len(gens)].id, a, b)
+        assert normalize(atlas, c) == reference_normalize(atlas, c)
+        assert type(normalize(atlas, c)) is type(reference_normalize(atlas, c))
+    with pytest.raises(UnknownGenerator):
+        normalize(atlas, Named("missing", raw[0][1], raw[0][2]))
+    assert normalize(atlas, Generic(3, -8)) == Generic(3, -8)
+
+
+def test_normalize_raises_on_an_unknown_rule_target():
+    # make_atlas rejects such a rule; a hand-built atlas meets it mid-rewrite
+    atlas = KnotAtlas(name="bare", generators=(Generator("g", "g", 0, 1),),
+                      rules=(RewriteRule("g", 1, 0, "h"),), tbb=1, width_ceiling=1,
+                      uniformly_thick=False)
+    assert normalize(atlas, Named("g", 0, 3)) == Named("g", 0, 3)
+    for norm in (normalize, reference_normalize):
+        with pytest.raises(UnknownGenerator):
+            norm(atlas, Named("g", 1, 0))
 
 
 def count_normalize(monkeypatch):
@@ -478,6 +584,46 @@ def test_atlas_json_round_trip_is_byte_stable():
         again = atlas_to_json_str(make_atlas(json.loads(text)))
         assert text == again
         assert make_atlas(json.loads(text)) == atlas
+
+
+NAMES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['P"1', "P\\2", "R\u03a91", 'L"\\\u03a9', "\u2028", "\ud800", "\x00\t"]),
+)
+
+
+@st.composite
+def named_atlases(draw):
+    """``small_atlases`` under drawn ids, names and metadata: quotes,
+    backslashes, control and non-ASCII characters included."""
+    spec = atlas_to_json(draw(small_atlases()))
+    ids = draw(st.lists(NAMES.filter(lambda s: s not in ("", "generic")), unique=True,
+                        min_size=len(spec["generators"]), max_size=len(spec["generators"])))
+    rename = {g["id"]: new for g, new in zip(spec["generators"], ids)}
+    for g in spec["generators"]:
+        g["id"], g["name"] = rename[g["id"]], draw(NAMES)
+    for r in spec["rules"]:
+        r["src"], r["dst"] = rename[r["src"]], rename.get(r["dst"], r["dst"])
+    ids = st.sampled_from(ids)
+    spec["name"] = draw(NAMES)
+    spec["surgery_distinct"] = [
+        {"a": a, "b": b, "value": v} for a, b, v in
+        draw(st.lists(st.tuples(ids, ids, st.sampled_from(atlas_module.SURGERY_VALUES)),
+                      max_size=4))
+    ]
+    spec["sigma_plus"] = draw(st.lists(ids, max_size=3))
+    spec["sigma_minus"] = draw(st.lists(ids, max_size=3))
+    spec["uniformly_thick"] = draw(st.booleans())
+    spec["both_signs_determined"] = draw(st.booleans())
+    return make_atlas(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_atlases())
+def test_atlas_json_text_is_the_stdlib_dump(atlas):
+    text = atlas_to_json_str(atlas)
+    assert text == json.dumps(atlas_to_json(atlas), sort_keys=True, indent=2) + "\n"
+    assert make_atlas(json.loads(text)) == atlas
 
 
 # The class records as the frozen dataclasses they used to be.

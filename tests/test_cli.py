@@ -343,15 +343,35 @@ def test_enumerate_zero_components_exits_two(capsys):
             assert code == EXIT_USAGE and out == "" and "component" in err
 
 
-def test_budget_flag_only_on_isotopic(capsys):
+def test_budget_flag_on_the_searching_commands(capsys):
     code, _, _ = run_cli(
         capsys, "isotopic", "--atlas", "k-minus-5", "--budget", "10", GREATER_A, GREATER_B
     )
     assert code == EXIT_OK
-    for args in (("componentwise", GREATER_A, GREATER_B), ("permute", GREATER_A, "--perm", "2,1")):
-        code, _, err = run_cli(capsys, args[0], "--atlas", "k-minus-5", "--budget", "10",
-                               *args[1:])
-        assert code == EXIT_USAGE and "--budget" in err
+    code, _, err = run_cli(capsys, "componentwise", "--atlas", "k-minus-5", "--budget", "10",
+                           GREATER_A, GREATER_B)
+    assert code == EXIT_USAGE and "--budget" in err
+
+
+# T^1(2.(0,-127))[+0-0,+126-126]: its presentation search holds 4,096 states
+UNKNOT_DEEP_COPY = json.dumps({
+    "regime": "integer-lesser", "q": -128, "n": 2,
+    "base": {"class": {"rot": 0, "tb": -127}, "t": 1}, "vec": [[0, 0], [126, 126]],
+})
+
+
+def test_permute_budget_flag(capsys):
+    argv = ("permute", "--atlas", "unknot", UNKNOT_DEEP_COPY, "--perm", "1,2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out)["reason"].startswith("presentation search exceeded its node budget")
+    code, out, _ = run_cli(capsys, *argv, "--budget", "5000")
+    assert code == EXIT_OK and json.loads(out) == {
+        "reason": "not an n-copy; invariant-preserving permutations are free",
+        "verdict": "isotopic",
+    }
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert code == EXIT_USAGE and out == "" and "positive integer" in err
 
 
 def test_atlas_file_loading(tmp_path, capsys):

@@ -88,6 +88,21 @@ def test_closure_equal_witness_replays():
     assert v.witness["path"][0] == "P1+2-1"
 
 
+def test_link_witness_paths_spell_states_as_explored():
+    tw2 = builtin_atlas("twist-even-2")
+    v = closure_equal(tw2, make_integer_link(tw2, Named("P1"), 1, 1, ((1, 0),)),
+                      make_integer_link(tw2, Named("R1"), 1, 0, ((0, 0),)))
+    assert v.reason == "rewrite path found"
+    assert v.witness["path"] == ["(P1+0-0, 1, [+1-0])", "(R1+0-0, 0, [+0-0])"]
+    assert not any("Named(" in s or "Generic(" in s for s in v.witness["path"])
+    # raw states keep their presentation: P1+1-0 normalizes to R1 here
+    label = oracle_module._state_label
+    assert label((Named("P1", 1, 0), 1, ((1, 0), (0, 2)))) == "(P1+1-0, 1, [+1-0,+0-2])"
+    assert label(("greater", Generic(0, -1), 2, 5, ())) == "(greater, (0,-1), 2, 5, [])"
+    assert (label(("lesser", "divide", Named("L1", 0, 1), -1, 2, -3, ((0, 0),)))
+            == "(lesser, divide, L1+0-1, -1, 2, -3, [+0-0])")
+
+
 def test_closure_equal_kind_mismatch():
     tw2 = builtin_atlas("twist-even-2")
     with pytest.raises(KindMismatch):
