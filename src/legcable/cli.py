@@ -145,13 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON stabilization vector overriding the documents'")
         return sp
 
-    def budget_flag(sp):
-        sp.add_argument("--budget", type=_positive_int, default=4000,
-                        help="node cap for presentation searches")
-
     sp = link_flags(common(sub.add_parser("isotopic",
                                           help="decide Legendrian isotopy of two links")))
-    budget_flag(sp)
+    sp.add_argument("--budget", type=_positive_int, default=4000,
+                    help="node cap for presentation searches")
     sp.add_argument("link1", help="link JSON document or @file")
     sp.add_argument("link2", help="link JSON document or @file")
 
@@ -165,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("link")
     sp.add_argument("--perm", required=True,
                     help="comma-separated images of components 1..n, e.g. 2,3,1")
-    budget_flag(sp)
 
     sp = sub.add_parser("selfcheck", help="run the acceptance suite")
     sp.add_argument("--samples", type=_positive_int, default=500,
@@ -260,7 +256,7 @@ def _dispatch(args) -> int:
     if args.command == "permute":
         link = _load_link_doc(atlas, args.link, args.vec)
         perm = [int(x) for x in args.perm.split(",")]
-        verdict = permutation_realizable(atlas, link, perm, node_cap=args.budget)
+        verdict = permutation_realizable(atlas, link, perm)
         print(json.dumps(verdict.to_json(), sort_keys=True, indent=2))
         return EXIT_UNKNOWN if verdict.is_unknown else EXIT_OK
 

@@ -28,10 +28,13 @@ invariant multisets match two canonical vectors up to one constant shift,
 which the canonical bounds (the fewest of the opposite sign < theta0 and of
 its own < theta1 in divide form; of each sign < theta1 over a window class
 and < p below it in ruling form) force to zero, so the links share form,
-sign, base lattice point and sorted vector.  Integer: for t >= 1 every
-twisted-copy move keeps t - a1 - b1, the core's tb minus q, so a complete
-closure holds a t = 0 presentation iff no component has tb above q, which
-equal multisets decide alike for both links.
+sign, base lattice point and sorted vector, and ``_isotopic_lesser``
+compares only their base classes.  Integer: for t >= 1 every twisted-copy
+move keeps t - a1 - b1, the core's tb minus q, so a complete closure holds
+a t = 0 presentation iff no component has tb above q, which equal multisets
+decide alike for both links; ``_isotopic_integer`` reads it from the
+component invariants, and so does ``permutation_realizable``, which searches
+no presentation.
 
 Verdicts are three-valued; Unknown is returned exactly where the underlying
 classification is silent, with a reason naming the silent clause.
@@ -44,6 +47,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Union
 
 from .atlas import (
+    Generic,
     LegClass,
     Named,
     NEG,
@@ -55,6 +59,7 @@ from .atlas import (
     class_label,
     class_rows,
     class_to_json,
+    classes_at,
     destabilizations,
     invariants,
     is_equal,
@@ -75,6 +80,7 @@ from .cables import (
 from .errors import (
     BadIndex,
     DOCUMENT_ERRORS,
+    InvariantMismatch,
     LengthMismatch,
     MalformedDocument,
     NotAPermutation,
@@ -267,7 +273,8 @@ def make_link(atlas, doc: dict) -> Link:
     """Parse the link interchange document (see link_to_json).
 
     A document that is not an object, or lacks or mistypes a field, raises
-    MalformedDocument.
+    MalformedDocument; a ``Generic`` base class that is not a class of the
+    atlas raises InvariantMismatch.
     """
     if not isinstance(doc, dict):
         raise MalformedDocument(f"a link document is a JSON object, not {type(doc).__name__}")
@@ -284,6 +291,8 @@ def make_link(atlas, doc: dict) -> Link:
             t = checked(base.get("t", tb - q), int, "t")
     except DOCUMENT_ERRORS as exc:
         raise malformed("link document", exc) from None
+    if isinstance(cls, Generic) and cls not in classes_at(atlas, cls.rot, cls.tb):
+        raise InvariantMismatch(f"{class_label(atlas, cls)} is not a class of {atlas.name}")
     if reg == Regime.GREATER.value:
         return make_greater_link(atlas, cls, n, p, q, vec)
     if reg == Regime.INTEGER_LESSER.value:
@@ -606,7 +615,8 @@ def _isotopic_greater(atlas, x: GreaterLink, y: GreaterLink) -> Verdict:
 
 
 def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> Verdict:
-    if _inv_multiset(atlas, x) != _inv_multiset(atlas, y):
+    invs = _inv_multiset(atlas, x)
+    if invs != _inv_multiset(atlas, y):
         return Verdict.no("component invariant multisets differ")
     if x.n == 1:
         if is_equal(atlas, component_class(atlas, x, 1), component_class(atlas, y, 1)):
@@ -616,20 +626,19 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
     cy, oky = integer_closure(atlas, y, node_cap)
     if cx & cy:
         return Verdict.yes("common twisted-copy presentation found")
-    nx = [s for s in cx if s[1] == 0]
-    ny = [s for s in cy if s[1] == 0]
     if not okx or not oky:
         return Verdict.maybe("presentation search exceeded its node budget")
-    # By the integer lemma nx and ny are both empty or both not.
-    if not nx:
+    # By the integer lemma the complete closures reach t = 0 exactly when
+    # no component has tb above q; x's components stand for y's.
+    if any(tb > x.q for _, tb in invs):
         verdict = _compare_max_tb_components(atlas, x, y)
         if verdict is not None:
             return verdict
         return Verdict.yes(
             "maximal-tb components isotopic and the remaining invariants pair up"
         )
-    px = set().union(*(_pattern_tags(s[2]) for s in nx))
-    py = set().union(*(_pattern_tags(s[2]) for s in ny))
+    px = set().union(*(_pattern_tags(s[2]) for s in cx if s[1] == 0))
+    py = set().union(*(_pattern_tags(s[2]) for s in cy if s[1] == 0))
     if "plus" in px and "plus" in py or "minus" in px and "minus" in py:
         verdict = _compare_max_tb_components(atlas, x, y)
         if verdict is not None:
@@ -680,15 +689,6 @@ def _compare_max_tb_components(atlas, x: IntegerLink, y: IntegerLink) -> Optiona
     return None
 
 
-def _lesser_same(atlas, x: LesserLink, y: LesserLink) -> bool:
-    return (
-        x.form == y.form
-        and x.sign == y.sign
-        and is_equal(atlas, x.base, y.base)
-        and tuple(sorted(x.vec)) == tuple(sorted(y.vec))
-    )
-
-
 def _surgery_between(atlas, c1: LegClass, c2: LegClass) -> str:
     if isinstance(c1, Named) and isinstance(c2, Named):
         if (c1.plus, c1.minus) == (c2.plus, c2.minus):
@@ -701,10 +701,11 @@ def _isotopic_lesser(atlas, x: LesserLink, y: LesserLink) -> Verdict:
     witness = {"left": link_label(atlas, cx), "right": link_label(atlas, cy)}
     if _inv_multiset(atlas, cx) != _inv_multiset(atlas, cy):
         return Verdict.no("component invariant multisets differ", witness)
-    if _lesser_same(atlas, cx, cy):
+    # By the lesser lemma both links have one form, one sign, one base
+    # lattice point and one sorted vector, so only their base classes can
+    # differ.
+    if is_equal(atlas, cx.base, cy.base):
         return Verdict.yes("identical canonical forms", witness)
-    # By the lesser lemma both links have one form, one sign and one base
-    # lattice point, so only their base classes differ.
     if cx.form == DIVIDE:
         sx = stabilize(atlas, cx.base, cx.sign, 1)
         sy = stabilize(atlas, cy.base, cy.sign, 1)
@@ -755,10 +756,11 @@ def componentwise_isotopic(atlas, link1: Link, link2: Link) -> bool:
     return classes(link1) == classes(link2)
 
 
-def permutation_realizable(atlas, link: Link, perm, node_cap: int = 4000) -> Verdict:
+def permutation_realizable(atlas, link: Link, perm) -> Verdict:
     """Whether relabeling components by ``perm`` (1-based) is realizable.
 
-    ``node_cap`` bounds the presentation search of an integer-slope link.
+    By the integer lemma an integer-slope link is an n-copy exactly when no
+    component has tb above q, so no presentation is searched.
     """
     n = link.n
     sigma = [int(v) for v in perm]
@@ -776,13 +778,7 @@ def permutation_realizable(atlas, link: Link, perm, node_cap: int = 4000) -> Ver
         )
     if not preserving:
         return Verdict.no("permutation moves components with distinct invariants")
-    states, complete = integer_closure(atlas, link, node_cap)
-    if not any(s[1] == 0 for s in states):
-        if not complete:
-            return Verdict.maybe(
-                "presentation search exceeded its node budget before finding an "
-                "n-copy presentation"
-            )
+    if any(tb > link.q for _, tb in invs):
         return Verdict.yes("not an n-copy; invariant-preserving permutations are free")
     divides = [c for c in range(n) if invs[c].tb == link.q]
     if not divides:

@@ -351,27 +351,42 @@ def test_budget_flag_on_the_searching_commands(capsys):
     code, _, err = run_cli(capsys, "componentwise", "--atlas", "k-minus-5", "--budget", "10",
                            GREATER_A, GREATER_B)
     assert code == EXIT_USAGE and "--budget" in err
+    code, _, err = run_cli(capsys, "permute", "--atlas", "k-minus-5", "--budget", "10",
+                           GREATER_A, "--perm", "1,2")
+    assert code == EXIT_USAGE and "--budget" in err
 
 
-# T^1(2.(0,-127))[+0-0,+126-126]: its presentation search holds 4,096 states
+# T^1(2.(0,-127))[+0-0,+126-126]: its presentation search holds 4,096 states,
+# past isotopic's default budget, and its core has tb above q
 UNKNOT_DEEP_COPY = json.dumps({
     "regime": "integer-lesser", "q": -128, "n": 2,
     "base": {"class": {"rot": 0, "tb": -127}, "t": 1}, "vec": [[0, 0], [126, 126]],
 })
 
 
-def test_permute_budget_flag(capsys):
-    argv = ("permute", "--atlas", "unknot", UNKNOT_DEEP_COPY, "--perm", "1,2")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == EXIT_UNKNOWN
-    assert json.loads(out)["reason"].startswith("presentation search exceeded its node budget")
-    code, out, _ = run_cli(capsys, *argv, "--budget", "5000")
+def test_permute_decides_a_deep_copy_without_a_budget(capsys):
+    code, out, _ = run_cli(capsys, "permute", "--atlas", "unknot", UNKNOT_DEEP_COPY,
+                           "--perm", "1,2")
     assert code == EXIT_OK and json.loads(out) == {
         "reason": "not an n-copy; invariant-preserving permutations are free",
         "verdict": "isotopic",
     }
-    code, out, err = run_cli(capsys, *argv, "--budget", "0")
-    assert code == EXIT_USAGE and out == "" and "positive integer" in err
+
+
+def test_link_documents_name_classes_of_their_atlas(capsys):
+    def doc(rot, tb, q=0):
+        return json.dumps({"regime": "integer-lesser", "q": q, "n": 2,
+                           "base": {"class": {"rot": rot, "tb": tb}}})
+
+    # twist-even-2 has no class above tb = 1, none at an even rot + tb, and
+    # only Named classes at (0, 1) and (2, -1)
+    pairs = [(doc(0, 2), doc(1, 2)), (doc(0, 5), doc(0, 5)),
+             (doc(0, 1, -2), doc(0, 1, -2)), (doc(2, -1, -2), doc(2, -1, -2))]
+    for link1, link2 in pairs:
+        for argv in (("isotopic", link1, link2), ("componentwise", link1, link2),
+                     ("permute", link1, "--perm", "1,2")):
+            code, out, err = run_cli(capsys, argv[0], "--atlas", "twist-even-2", *argv[1:])
+            assert code == EXIT_USAGE and out == "" and "is not a class of twist-even-2" in err
 
 
 def test_atlas_file_loading(tmp_path, capsys):

@@ -139,6 +139,24 @@ def test_make_link_reads_only_the_sign_spellings():
         make_link(tw(), dict(doc, base={**ruling, "sign": "banana"}))
 
 
+def test_make_link_rejects_generic_classes_the_atlas_does_not_hold():
+    def doc(rot, tb, q):
+        return {"regime": "integer-lesser", "q": q, "n": 2,
+                "base": {"class": {"rot": rot, "tb": tb}}}
+
+    # on twist-even-2, (0, 2) has even rot + tb, it, (1, 2) and (0, 5) lie
+    # above the peak row tb = 1, and every class at (0, 1) and (2, -1) is Named
+    for rot, tb in ((0, 2), (1, 2), (0, 5), (0, 1), (2, -1)):
+        with pytest.raises(InvariantMismatch, match="is not a class of twist-even-2"):
+            make_link(tw(), doc(rot, tb, -2))
+    # the Named and Generic spellings of one class are still both accepted
+    assert make_link(tw(), doc(0, -3, -4)).L == Generic(0, -3)
+    assert make_link(tw(), {**doc(0, -3, -4), "base": {"class": {"gen": "P1", "plus": 2,
+                                                                 "minus": 2}}}).L == Generic(0, -3)
+    link = make_link(builtin_atlas("unknot"), doc(0, -127, -128))
+    assert link.L == Generic(0, -127) and link.t == 1
+
+
 # -- canonicalization ----------------------------------------------------------
 
 
@@ -553,17 +571,21 @@ def test_permutation_realizable_integer_cases():
     assert permutation_realizable(atlas, twisted, [2, 1, 3]).is_not_isotopic
 
 
-def test_permutation_realizable_truncated_search_is_unknown(monkeypatch):
-    atlas = tw()
-    twisted = make_integer_link(atlas, Named("P1"), 3, 2)
-    assert permutation_realizable(atlas, twisted, [1, 3, 2]).is_isotopic
+def test_permutation_realizable_searches_no_presentation(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("a presentation search ran")
 
-    def truncated(atlas, link, node_cap=4000):
-        return frozenset({links_module.int_state(atlas, link.L, link.t, link.vec)}), False
-
-    monkeypatch.setattr(links_module, "integer_closure", truncated)
-    verdict = permutation_realizable(atlas, twisted, [1, 3, 2])
-    assert verdict.is_unknown and "node budget" in verdict.reason
+    monkeypatch.setattr(links_module, "integer_closure", search)
+    monkeypatch.setattr(links_module, "integer_moves", search)
+    test_permutation_realizable_integer_cases()
+    # T^1(2.(0,-127))[+0-0,+126-126]: its closure holds 4,096 states, but its
+    # core has tb = q + 1, so it is not an n-copy
+    atlas = builtin_atlas("unknot")
+    deep = make_integer_link(atlas, Generic(0, -127), 2, 1, ((0, 0), (126, 126)))
+    verdict = permutation_realizable(atlas, deep, [1, 2])
+    assert verdict.is_isotopic and verdict.reason.startswith("not an n-copy")
+    with pytest.raises(TypeError):
+        permutation_realizable(atlas, deep, [1, 2], node_cap=4000)
 
 
 def test_permutation_realizable_lesser_is_unknown():

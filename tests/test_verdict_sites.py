@@ -18,7 +18,11 @@ The Hypothesis tests check the lesser and integer lemmas of the ``links``
 docstring on small random atlases marked uniformly thick, confluent or not;
 the lemmas are why the clauses for links in different forms, signs or
 lattice points, and for exactly one stabilized n-copy, are not in
-``_isotopic_lesser`` and ``_isotopic_integer``.
+``_isotopic_lesser`` and ``_isotopic_integer``.  They are also why
+``_isotopic_lesser`` compares only base classes and ``permutation_realizable``
+searches no presentation; ``test_lesser_identity_is_the_full_comparison``
+and ``test_permutation_realizable_matches_the_search`` hold the two to the
+comparison and the search they replace.
 """
 
 import ast
@@ -26,7 +30,7 @@ import re
 import sys
 from collections import Counter, defaultdict
 from dataclasses import replace
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -234,9 +238,6 @@ ROWS = [
         "twist-even-2", "permute", ("(0,-1)^+_2(2,-3)[+0-0,+0-0]", (2, 1))),
     Row("permutation_realizable", "permutation moves components with distinct invariants", NO,
         "twist-even-2", "permute", ("T^2(3.P1)[+0-0,+0-0,+0-0]", (2, 1, 3))),
-    Row("permutation_realizable",
-        "presentation search exceeded its node budget before finding an n-copy presentation",
-        MAYBE, "unknot", "permute", ("T^1(2.(0,-127))[+0-0,+126-126]", (1, 2))),
     Row("permutation_realizable", "not an n-copy; invariant-preserving permutations are free",
         YES, "twist-even-2", "permute", ("T^2(3.P1)[+0-0,+0-0,+0-0]", (1, 3, 2))),
     Row("permutation_realizable",
@@ -391,11 +392,9 @@ def multiset(atlas, link):
     return (link.n, tuple(sorted(component_invariants(atlas, link))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(thick_atlases(), st.sampled_from([2, 3]), st.data())
-def test_lesser_lemma(atlas, p, data):
-    """Canonical lesser links with equal invariant multisets share form,
-    sign, base lattice point and sorted vector."""
+def lesser_links(atlas, p, data):
+    """Lesser links of a drawn slope q/p over the window and the row below,
+    with vectors past every canonical bound."""
     qs = [q for q in range(p * (atlas.tbb - 2) + 1, p * atlas.tbb) if gcd(p, q) == 1]
     q = data.draw(st.sampled_from(qs))
     window = ceil_div(q, p)
@@ -407,13 +406,47 @@ def test_lesser_lemma(atlas, p, data):
     for tb in (window, window - 1):
         for base in classes_at_tb(atlas, tb):
             links += [make_lesser_link(atlas, base, 0, len(v), p, q, v, form=RULING) for v in vecs]
+    return links
+
+
+@settings(max_examples=60, deadline=None)
+@given(thick_atlases(), st.sampled_from([2, 3]), st.data())
+def test_lesser_lemma(atlas, p, data):
+    """Canonical lesser links with equal invariant multisets share form,
+    sign, base lattice point and sorted vector."""
     shapes = defaultdict(set)
-    for link in links:
+    for link in lesser_links(atlas, p, data):
         c = canonicalize(atlas, link)
         shapes[multiset(atlas, c)].add(
             (c.form, c.sign, invariants(atlas, c.base), tuple(sorted(c.vec)))
         )
     assert all(len(found) == 1 for found in shapes.values())
+
+
+def full_lesser_same(atlas, x, y):
+    """The identity test ``_isotopic_lesser`` ran before the lesser lemma."""
+    return (
+        x.form == y.form
+        and x.sign == y.sign
+        and is_equal(atlas, x.base, y.base)
+        and tuple(sorted(x.vec)) == tuple(sorted(y.vec))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(thick_atlases(), st.sampled_from([2, 3]), st.data())
+def test_lesser_identity_is_the_full_comparison(atlas, p, data):
+    """Wherever ``_isotopic_lesser`` reaches its base comparison (equal
+    invariant multisets), equal bases mean the full comparison holds."""
+    groups = defaultdict(set)
+    for link in lesser_links(atlas, p, data):
+        c = canonicalize(atlas, link)
+        groups[multiset(atlas, c)].add(c)
+    for group in groups.values():
+        for x, y in product(group, repeat=2):
+            verdict = isotopic(atlas, x, y)
+            identical = verdict.reason == "identical canonical forms"
+            assert identical == full_lesser_same(atlas, x, y), (x, y, verdict)
 
 
 def twisted_copies(atlas, n, t, vec):
@@ -441,3 +474,69 @@ def test_integer_lemma(atlas, n, t, data):
         if complete:
             top = max(tb for _, tb in component_invariants(atlas, link))
             assert any(s[1] == 0 for s in states) == (top <= link.q)
+
+
+def searched_permutation_realizable(atlas, link, perm, node_cap=4000):
+    """``permutation_realizable`` on an integer-slope link as it was before
+    the integer lemma: n-copy or not is read off a presentation search."""
+    n = link.n
+    sigma = [int(v) for v in perm]
+    invs = component_invariants(atlas, link)
+    if not all(invs[sigma[c] - 1] == invs[c] for c in range(n)):
+        return Verdict.no("permutation moves components with distinct invariants")
+    states, complete = integer_closure(atlas, link, node_cap)
+    if not any(s[1] == 0 for s in states):
+        if not complete:
+            return Verdict.maybe(
+                "presentation search exceeded its node budget before finding an "
+                "n-copy presentation"
+            )
+        return Verdict.yes("not an n-copy; invariant-preserving permutations are free")
+    divides = [c for c in range(n) if invs[c].tb == link.q]
+    if not divides:
+        return Verdict.yes(
+            "all components of the n-copy are stabilized; invariant-preserving "
+            "permutations are free"
+        )
+    if link.q == atlas.tbb:
+        if all(sigma[c] - 1 == c for c in divides):
+            return Verdict.yes(
+                "maximal-slope n-copy: unstabilized components fixed, the rest "
+                "permute within equal invariants"
+            )
+        return Verdict.no(
+            "maximal-slope n-copy: no permutation of the maximal-tb components "
+            "is realizable"
+        )
+    images = [sigma[c] - 1 for c in divides]
+    m = len(divides)
+    cyclic = any(
+        all(images[k] == divides[(k + s) % m] for k in range(m)) for s in range(m)
+    )
+    if cyclic:
+        return Verdict.yes(
+            "below-maximal-slope n-copy: maximal-tb components rotate "
+            "cyclically, the rest permute within equal invariants"
+        )
+    return Verdict.no(
+        "below-maximal-slope n-copy: only cyclic permutations of the "
+        "maximal-tb components are realizable"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(thick_atlases(), small_atlases()), st.integers(2, 3), st.integers(0, 2),
+       st.data())
+def test_permutation_realizable_matches_the_search(atlas, n, t, data):
+    """Wherever the presentation search is complete, it and the integer
+    lemma give one verdict and one reason for every permutation."""
+    vec = tuple(data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2))) for _ in range(n))
+    # the zero vector puts every component of an n-copy at tb = q
+    links = twisted_copies(atlas, n, t, vec) + twisted_copies(atlas, n, t, ((0, 0),) * n)
+    for link in links:
+        if not integer_closure(atlas, link)[1]:
+            continue
+        for perm in permutations(range(1, n + 1)):
+            got = permutation_realizable(atlas, link, perm)
+            want = searched_permutation_realizable(atlas, link, perm)
+            assert (got.kind, got.reason) == (want.kind, want.reason), (link, perm)
