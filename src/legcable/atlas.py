@@ -45,6 +45,7 @@ JSON form, and ``dataclasses.replace`` starts a copy with an empty table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Union
 
@@ -120,7 +121,12 @@ class RewriteRule:
 
 @dataclass
 class KnotAtlas:
-    """Validated atlas; treat as immutable after construction.
+    """An atlas; treat as immutable after construction.
+
+    Constructing one builds the id, order, rule and surgery indexes and
+    checks nothing: ``validate_atlas`` checks the records against those
+    indexes, and ``make_atlas`` and every builtin return only what it
+    passed.  A hand-built atlas is as valid as its records.
 
     ``surgery_distinct`` holds the partial relation "Legendrian surgery on
     these two generators yields distinct contact manifolds"; the relation is
@@ -185,60 +191,94 @@ def make_atlas(spec: dict) -> KnotAtlas:
     [{src, da, db, dst}] with dst a generator id or "generic", tbb,
     width_ceiling, uniformly_thick, and optionally surgery_distinct
     [{a, b, value}], sigma_plus, sigma_minus, both_signs_determined.
-    A missing or mistyped field raises MalformedDocument.
+    A missing or mistyped field raises MalformedDocument.  The document is
+    read into records first; ``validate_atlas`` then checks them, as it
+    checks every builtin.
     """
     try:
-        return _atlas_from_spec(spec)
+        atlas = _atlas_from_spec(spec)
     except DOCUMENT_ERRORS as exc:
         raise malformed("atlas document", exc) from None
+    return validate_atlas(atlas)
 
 
 def _atlas_from_spec(spec: dict) -> KnotAtlas:
+    """The records of an atlas document, each field type-checked, unvalidated."""
     gens = []
-    seen = set()
     for g in spec.get("generators", []):
         gid = str(g["id"])
-        if gid in seen:
-            raise DuplicateId(f"generator id {gid!r} appears twice")
-        seen.add(gid)
         rot, tb = checked(g["rot"], int, "rot"), checked(g["tb"], int, "tb")
-        if (rot + tb) % 2 == 0:
-            raise ParityViolation(f"generator {gid!r} has even rot + tb = {rot + tb}")
         gens.append(Generator(gid, str(g.get("name", gid)), rot, tb))
-    by_id = {g.id: g for g in gens}
-
     rules = []
     for r in spec.get("rules", []):
         src, da, db = str(r["src"]), checked(r["da"], int, "da"), checked(r["db"], int, "db")
         dst = r["dst"]
-        dst = None if dst in (None, "generic") else str(dst)
-        if src not in by_id:
+        rules.append(RewriteRule(src, da, db, None if dst in (None, "generic") else str(dst)))
+    tbb = checked(spec["tbb"], int, "tbb")
+    return KnotAtlas(
+        name=str(spec.get("name", "atlas")),
+        generators=tuple(gens),
+        rules=tuple(rules),
+        tbb=tbb,
+        width_ceiling=checked(spec.get("width_ceiling", tbb), int, "width_ceiling"),
+        uniformly_thick=checked(spec.get("uniformly_thick", False), bool, "uniformly_thick"),
+        surgery_distinct=tuple(
+            (str(s["a"]), str(s["b"]), str(s["value"])) for s in spec.get("surgery_distinct", [])
+        ),
+        sigma_plus=tuple(str(x) for x in spec.get("sigma_plus", [])),
+        sigma_minus=tuple(str(x) for x in spec.get("sigma_minus", [])),
+        both_signs_determined=checked(
+            spec.get("both_signs_determined", False), bool, "both_signs_determined"
+        ),
+    )
+
+
+def validate_atlas(atlas: KnotAtlas) -> KnotAtlas:
+    """``atlas``, if its records are consistent; else the error of the first fault.
+
+    Generator ids are distinct and every generator has odd rot + tb; every
+    rule has a known source, da, db >= 0 with da + db >= 1, and a target
+    that is "generic" or a known generator sitting da + db stabilizations
+    below its source; there is a generator, tbb is the largest generator
+    tb, width_ceiling is at least tbb and equals it on a uniformly thick
+    atlas; surgery entries name generators and hold one of SURGERY_VALUES;
+    sigma lists name generators.  The checks read the atlas's own id index.
+    """
+    gens, by_id = atlas.generators, atlas._by_id
+    if len(by_id) < len(gens):
+        seen = set()
+        for g in gens:
+            if g.id in seen:
+                raise DuplicateId(f"generator id {g.id!r} appears twice")
+            seen.add(g.id)
+    for g in gens:
+        if (g.rot + g.tb) % 2 == 0:
+            raise ParityViolation(f"generator {g.id!r} has even rot + tb = {g.rot + g.tb}")
+
+    for rule in atlas.rules:
+        src, da, db, dst = rule.src, rule.da, rule.db, rule.dst
+        s = by_id.get(src)
+        if s is None:
             raise UnknownGenerator(f"rule source {src!r} is not a generator")
         if da < 0 or db < 0 or da + db < 1:
             raise InvariantMismatch(f"rule ({src},{da},{db}) needs da,db >= 0, da+db >= 1")
         if dst is not None:
-            if dst not in by_id:
+            d = by_id.get(dst)
+            if d is None:
                 raise UnknownGenerator(f"rule target {dst!r} is not a generator")
-            want = RotTb(by_id[src].rot + da - db, by_id[src].tb - da - db)
-            got = by_id[dst].rot_tb
-            if want != got:
+            if d.rot != s.rot + da - db or d.tb != s.tb - da - db:
                 raise InvariantMismatch(
-                    f"rule ({src},{da},{db})->{dst}: target invariants {tuple(got)} "
-                    f"differ from {tuple(want)}"
+                    f"rule ({src},{da},{db})->{dst}: target invariants {(d.rot, d.tb)} "
+                    f"differ from {(s.rot + da - db, s.tb - da - db)}"
                 )
-        rules.append(RewriteRule(src, da, db, dst))
 
     if not gens:
         raise InvariantMismatch("an atlas needs at least one generator")
-    tbb = checked(spec["tbb"], int, "tbb")
-    if tbb != max(g.tb for g in gens):
-        raise MetadataInconsistent(
-            f"tbb={tbb} but the maximal generator tb is {max(g.tb for g in gens)}"
-        )
-    width_ceiling = checked(spec.get("width_ceiling", tbb), int, "width_ceiling")
-    uniformly_thick = checked(spec.get("uniformly_thick", False), bool, "uniformly_thick")
-    both_signs = checked(spec.get("both_signs_determined", False), bool, "both_signs_determined")
-    if uniformly_thick and width_ceiling != tbb:
+    tbb, width_ceiling = atlas.tbb, atlas.width_ceiling
+    top = max(g.tb for g in gens)
+    if tbb != top:
+        raise MetadataInconsistent(f"tbb={tbb} but the maximal generator tb is {top}")
+    if atlas.uniformly_thick and width_ceiling != tbb:
         raise MetadataInconsistent(
             f"uniformly thick atlases must have width_ceiling == tbb, "
             f"got {width_ceiling} != {tbb}"
@@ -246,32 +286,18 @@ def _atlas_from_spec(spec: dict) -> KnotAtlas:
     if width_ceiling < tbb:
         raise MetadataInconsistent(f"width_ceiling {width_ceiling} below tbb {tbb}")
 
-    surgery = []
-    for s in spec.get("surgery_distinct", []):
-        a, b, value = str(s["a"]), str(s["b"]), str(s["value"])
+    for a, b, value in atlas.surgery_distinct:
         if a not in by_id or b not in by_id:
-            raise UnknownGenerator(f"surgery_distinct names unknown generator in {s}")
+            entry = {"a": a, "b": b, "value": value}
+            raise UnknownGenerator(f"surgery_distinct names unknown generator in {entry}")
         if value not in SURGERY_VALUES:
             raise InvariantMismatch(f"surgery_distinct value {value!r} not in {SURGERY_VALUES}")
-        surgery.append((a, b, value))
 
     for sig in ("sigma_plus", "sigma_minus"):
-        for gid in spec.get(sig, []):
-            if str(gid) not in by_id:
+        for gid in getattr(atlas, sig):
+            if gid not in by_id:
                 raise UnknownGenerator(f"{sig} names unknown generator {gid!r}")
-
-    return KnotAtlas(
-        name=str(spec.get("name", "atlas")),
-        generators=tuple(gens),
-        rules=tuple(rules),
-        tbb=tbb,
-        width_ceiling=width_ceiling,
-        uniformly_thick=uniformly_thick,
-        surgery_distinct=tuple(surgery),
-        sigma_plus=tuple(str(x) for x in spec.get("sigma_plus", [])),
-        sigma_minus=tuple(str(x) for x in spec.get("sigma_minus", [])),
-        both_signs_determined=both_signs,
-    )
+    return atlas
 
 
 def ceil_div(q: int, p: int) -> int:
@@ -289,91 +315,76 @@ def twist_even_atlas(n: int, surgery: bool = False) -> KnotAtlas:
     sign pushes an edge class into the invariant-determined interior.
     ``surgery`` marks peak pairs as surgery-distinct, which is the
     hypothesis needed for cables with slope in (0, 1).
+
+    Built straight from its records, with no document in between; they go
+    through ``validate_atlas`` as a document's records do.
     """
     if n < 2:
         raise UnsupportedKind(f"twist-even atlas needs n >= 2, got {n}")
     l = ceil_div(n * n, 2)
     k = ceil_div(n, 2)
-    sigma = [((i - 1) % k) + 1 for i in range(1, l + 1)]
-
+    ps = [f"P{i}" for i in range(1, l + 1)]
+    rs = [f"R{j}" for j in range(1, k + 1)]
+    ls = [f"L{j}" for j in range(1, k + 1)]
+    sigma_plus = tuple(rs[i % k] for i in range(l))
+    sigma_minus = tuple(ls[i % k] for i in range(l))
     generators = (
-        [{"id": f"P{i}", "name": f"P{i}", "rot": 0, "tb": 1} for i in range(1, l + 1)]
-        + [{"id": f"R{j}", "name": f"R{j}", "rot": 1, "tb": 0} for j in range(1, k + 1)]
-        + [{"id": f"L{j}", "name": f"L{j}", "rot": -1, "tb": 0} for j in range(1, k + 1)]
+        [Generator(p, p, 0, 1) for p in ps]
+        + [Generator(r, r, 1, 0) for r in rs]
+        + [Generator(e, e, -1, 0) for e in ls]
     )
     rules = (
-        [{"src": f"P{i}", "da": 1, "db": 0, "dst": f"R{sigma[i - 1]}"} for i in range(1, l + 1)]
-        + [{"src": f"P{i}", "da": 0, "db": 1, "dst": f"L{sigma[i - 1]}"} for i in range(1, l + 1)]
-        + [{"src": f"R{j}", "da": 0, "db": 1, "dst": "generic"} for j in range(1, k + 1)]
-        + [{"src": f"L{j}", "da": 1, "db": 0, "dst": "generic"} for j in range(1, k + 1)]
+        [RewriteRule(p, 1, 0, r) for p, r in zip(ps, sigma_plus)]
+        + [RewriteRule(p, 0, 1, e) for p, e in zip(ps, sigma_minus)]
+        + [RewriteRule(r, 0, 1, None) for r in rs]
+        + [RewriteRule(e, 1, 0, None) for e in ls]
     )
-    edges = [f"R{j}" for j in range(1, k + 1)] + [f"L{j}" for j in range(1, k + 1)]
-    distinct = [
-        {"a": edges[i], "b": edges[j], "value": "yes"}
-        for i in range(len(edges))
-        for j in range(i + 1, len(edges))
-    ]
+    distinct = [(a, b, "yes") for a, b in combinations(rs + ls, 2)]
     if surgery:
-        distinct += [
-            {"a": f"P{i}", "b": f"P{j}", "value": "yes"}
-            for i in range(1, l + 1)
-            for j in range(i + 1, l + 1)
-        ]
-    return make_atlas(
-        {
-            "name": f"twist-even-{n}" + ("-surgery" if surgery else ""),
-            "generators": generators,
-            "rules": rules,
-            "tbb": 1,
-            "width_ceiling": 1,
-            "uniformly_thick": True,
-            "surgery_distinct": distinct,
-            "sigma_plus": [f"R{j}" for j in sigma],
-            "sigma_minus": [f"L{j}" for j in sigma],
-            "both_signs_determined": True,
-        }
-    )
+        distinct += [(a, b, "yes") for a, b in combinations(ps, 2)]
+    return validate_atlas(KnotAtlas(
+        name=f"twist-even-{n}" + ("-surgery" if surgery else ""),
+        generators=tuple(generators),
+        rules=tuple(rules),
+        tbb=1,
+        width_ceiling=1,
+        uniformly_thick=True,
+        surgery_distinct=tuple(distinct),
+        sigma_plus=sigma_plus,
+        sigma_minus=sigma_minus,
+        both_signs_determined=True,
+    ))
 
 
 def unknot_atlas() -> KnotAtlas:
     """The unknot: a single peak at (0, -1), everything below is generic."""
-    return make_atlas(
-        {
-            "name": "unknot",
-            "generators": [{"id": "U", "name": "U", "rot": 0, "tb": -1}],
-            "rules": [
-                {"src": "U", "da": 1, "db": 0, "dst": "generic"},
-                {"src": "U", "da": 0, "db": 1, "dst": "generic"},
-            ],
-            "tbb": -1,
-            "width_ceiling": -1,
-            "uniformly_thick": False,
-            "both_signs_determined": True,
-        }
-    )
+    return validate_atlas(KnotAtlas(
+        name="unknot",
+        generators=(Generator("U", "U", 0, -1),),
+        rules=(RewriteRule("U", 1, 0, None), RewriteRule("U", 0, 1, None)),
+        tbb=-1,
+        width_ceiling=-1,
+        uniformly_thick=False,
+        both_signs_determined=True,
+    ))
 
 
 def k_minus_5_atlas() -> KnotAtlas:
     """The -5 twist knot: two peaks A, B at (0, -3) that merge after one stab."""
-    return make_atlas(
-        {
-            "name": "k-minus-5",
-            "generators": [
-                {"id": "A", "name": "A", "rot": 0, "tb": -3},
-                {"id": "B", "name": "B", "rot": 0, "tb": -3},
-            ],
-            "rules": [
-                {"src": "A", "da": 1, "db": 0, "dst": "generic"},
-                {"src": "A", "da": 0, "db": 1, "dst": "generic"},
-                {"src": "B", "da": 1, "db": 0, "dst": "generic"},
-                {"src": "B", "da": 0, "db": 1, "dst": "generic"},
-            ],
-            "tbb": -3,
-            "width_ceiling": -3,
-            "uniformly_thick": True,
-            "surgery_distinct": [{"a": "A", "b": "B", "value": "unknown"}],
-        }
-    )
+    return validate_atlas(KnotAtlas(
+        name="k-minus-5",
+        generators=(Generator("A", "A", 0, -3), Generator("B", "B", 0, -3)),
+        rules=(
+            RewriteRule("A", 1, 0, None),
+            RewriteRule("A", 0, 1, None),
+            RewriteRule("B", 1, 0, None),
+            RewriteRule("B", 0, 1, None),
+        ),
+        tbb=-3,
+        width_ceiling=-3,
+        uniformly_thick=True,
+        surgery_distinct=(("A", "B", "unknown"),),
+    ))
 
 
 def builtin_atlas(kind: str) -> KnotAtlas:
@@ -562,6 +573,19 @@ def classes_at(atlas: KnotAtlas, rot: int, tb: int) -> list[LegClass]:
         nf = normalize(atlas, Named(g.id, *ab))
         found[class_key(atlas, nf)] = nf
     return [found[k] for k in sorted(found)]
+
+
+def holds(atlas: KnotAtlas, c: Generic) -> bool:
+    """Whether ``c`` is in ``classes_at`` its lattice point: some generator's
+    stabilization there normalizes to it.  Stops at the first that does."""
+    rot, tb = c
+    for g in atlas.generators:
+        total, diff = g.tb - tb, rot - g.rot  # _stab_counts_for, inlined
+        if total >= abs(diff) and (total + diff) % 2 == 0 and normalize(
+            atlas, Named(g.id, (total + diff) // 2, (total - diff) // 2)
+        ) == c:
+            return True
+    return False
 
 
 def peaks(atlas: KnotAtlas) -> list[Generator]:

@@ -59,8 +59,8 @@ from .atlas import (
     class_label,
     class_rows,
     class_to_json,
-    classes_at,
     destabilizations,
+    holds,
     invariants,
     is_equal,
     normalize,
@@ -217,7 +217,14 @@ def _check_vec(vec, n: int) -> StabVec:
 # Constructors
 
 
+def _check_held(atlas, c: LegClass) -> None:
+    """Raise InvariantMismatch if ``c`` is a Generic the atlas does not hold."""
+    if isinstance(c, Generic) and not holds(atlas, c):
+        raise InvariantMismatch(f"{class_label(atlas, c)} is not a class of {atlas.name}")
+
+
 def make_greater_link(atlas, u: LegClass, n: int, p: int, q: int, vec=None) -> GreaterLink:
+    _check_held(atlas, u)
     if regime(atlas, p, q) is not Regime.GREATER:
         raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
     return GreaterLink(normalize(atlas, u), n, p, q, _check_vec(vec, n))
@@ -225,6 +232,7 @@ def make_greater_link(atlas, u: LegClass, n: int, p: int, q: int, vec=None) -> G
 
 def make_integer_link(atlas, L: LegClass, n: int, t: int, vec=None) -> IntegerLink:
     """The t-twisted n-copy of L (see IntegerLink), stabilized by ``vec``."""
+    _check_held(atlas, L)
     if t < 0:
         raise WrongRegime(f"twisted copy needs t >= 0, got t={t}")
     L = normalize(atlas, L)
@@ -237,6 +245,7 @@ def make_integer_link(atlas, L: LegClass, n: int, t: int, vec=None) -> IntegerLi
 def make_lesser_link(
     atlas, base: LegClass, sign: int, n: int, p: int, q: int, vec=None, form: str = DIVIDE
 ) -> LesserLink:
+    _check_held(atlas, base)
     if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
         raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
     base = normalize(atlas, base)
@@ -291,8 +300,6 @@ def make_link(atlas, doc: dict) -> Link:
             t = checked(base.get("t", tb - q), int, "t")
     except DOCUMENT_ERRORS as exc:
         raise malformed("link document", exc) from None
-    if isinstance(cls, Generic) and cls not in classes_at(atlas, cls.rot, cls.tb):
-        raise InvariantMismatch(f"{class_label(atlas, cls)} is not a class of {atlas.name}")
     if reg == Regime.GREATER.value:
         return make_greater_link(atlas, cls, n, p, q, vec)
     if reg == Regime.INTEGER_LESSER.value:

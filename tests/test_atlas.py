@@ -32,6 +32,7 @@ from legcable import (
     stabilize,
 )
 from legcable import atlas as atlas_module
+from legcable.cli import run as cli_run
 from legcable.errors import (
     CutoffAbovePeak,
     DuplicateId,
@@ -134,6 +135,175 @@ def test_builtin_rejects_unknown_kind():
         builtin_atlas("twist-even-1")
     with pytest.raises(UnsupportedKind):
         builtin_atlas("granny")
+
+
+# -- builtins from records, documents through the same validator ---------------
+
+
+def reference_twist_even_doc(n, surgery=False):
+    """The twist-even document that the builtin was once read from."""
+    l = atlas_module.ceil_div(n * n, 2)
+    k = atlas_module.ceil_div(n, 2)
+    sigma = [((i - 1) % k) + 1 for i in range(1, l + 1)]
+    generators = (
+        [{"id": f"P{i}", "name": f"P{i}", "rot": 0, "tb": 1} for i in range(1, l + 1)]
+        + [{"id": f"R{j}", "name": f"R{j}", "rot": 1, "tb": 0} for j in range(1, k + 1)]
+        + [{"id": f"L{j}", "name": f"L{j}", "rot": -1, "tb": 0} for j in range(1, k + 1)]
+    )
+    rules = (
+        [{"src": f"P{i}", "da": 1, "db": 0, "dst": f"R{sigma[i - 1]}"} for i in range(1, l + 1)]
+        + [{"src": f"P{i}", "da": 0, "db": 1, "dst": f"L{sigma[i - 1]}"} for i in range(1, l + 1)]
+        + [{"src": f"R{j}", "da": 0, "db": 1, "dst": "generic"} for j in range(1, k + 1)]
+        + [{"src": f"L{j}", "da": 1, "db": 0, "dst": "generic"} for j in range(1, k + 1)]
+    )
+    edges = [f"R{j}" for j in range(1, k + 1)] + [f"L{j}" for j in range(1, k + 1)]
+    distinct = [
+        {"a": edges[i], "b": edges[j], "value": "yes"}
+        for i in range(len(edges))
+        for j in range(i + 1, len(edges))
+    ]
+    if surgery:
+        distinct += [
+            {"a": f"P{i}", "b": f"P{j}", "value": "yes"}
+            for i in range(1, l + 1)
+            for j in range(i + 1, l + 1)
+        ]
+    return {
+        "name": f"twist-even-{n}" + ("-surgery" if surgery else ""),
+        "generators": generators,
+        "rules": rules,
+        "tbb": 1,
+        "width_ceiling": 1,
+        "uniformly_thick": True,
+        "surgery_distinct": distinct,
+        "sigma_plus": [f"R{j}" for j in sigma],
+        "sigma_minus": [f"L{j}" for j in sigma],
+        "both_signs_determined": True,
+    }
+
+
+REFERENCE_DOCS = {
+    "unknot": lambda: dict(UNKNOT_SPEC, both_signs_determined=True),
+    "k-minus-5": lambda: {
+        "name": "k-minus-5",
+        "generators": [
+            {"id": "A", "name": "A", "rot": 0, "tb": -3},
+            {"id": "B", "name": "B", "rot": 0, "tb": -3},
+        ],
+        "rules": [
+            {"src": "A", "da": 1, "db": 0, "dst": "generic"},
+            {"src": "A", "da": 0, "db": 1, "dst": "generic"},
+            {"src": "B", "da": 1, "db": 0, "dst": "generic"},
+            {"src": "B", "da": 0, "db": 1, "dst": "generic"},
+        ],
+        "tbb": -3,
+        "width_ceiling": -3,
+        "uniformly_thick": True,
+        "surgery_distinct": [{"a": "A", "b": "B", "value": "unknown"}],
+    },
+    **{f"twist-even-{n}": (lambda n=n: reference_twist_even_doc(n)) for n in range(2, 49)},
+    **{f"twist-even-{n}-surgery": (lambda n=n: reference_twist_even_doc(n, True))
+       for n in range(2, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOCS))
+def test_builtins_equal_the_documents_they_were_read_from(name):
+    built, read = builtin_atlas(name), make_atlas(REFERENCE_DOCS[name]())
+    assert built == read and repr(built) == repr(read)
+    assert atlas_to_json_str(built) == atlas_to_json_str(read)
+    assert make_atlas(atlas_to_json(built)) == built
+
+
+def test_every_builtin_goes_through_the_record_validator(monkeypatch):
+    checked = []
+
+    def counting(atlas):
+        checked.append(atlas.name)
+        return validate(atlas)
+
+    validate = atlas_module.validate_atlas
+    monkeypatch.setattr(atlas_module, "validate_atlas", counting)
+    for name in ("unknot", "k-minus-5", "twist-even-3", "twist-even-2-surgery"):
+        builtin_atlas(name)
+    make_atlas(UNKNOT_SPEC)
+    assert checked == ["unknot", "k-minus-5", "twist-even-3", "twist-even-2-surgery", "unknot"]
+
+
+TE2 = builtin_atlas("twist-even-2")
+TE2_DOC = atlas_to_json(TE2)
+X_DOC = {"id": "X", "name": "X", "rot": 0, "tb": 0}
+
+# One row per fault the validator checks, each the only fault of its atlas:
+# the fault as a change to the twist-even-2 document, the same fault as a
+# change to its records, and the error that make_atlas raises for it.
+VALIDATOR_FAULTS = [
+    ({"generators": TE2_DOC["generators"] + [TE2_DOC["generators"][0]]},
+     {"generators": TE2.generators + (TE2.generators[0],)},
+     DuplicateId, "generator id 'P1' appears twice"),
+    ({"generators": TE2_DOC["generators"] + [X_DOC]},
+     {"generators": TE2.generators + (Generator("X", "X", 0, 0),)},
+     ParityViolation, "generator 'X' has even rot + tb = 0"),
+    ({"rules": TE2_DOC["rules"] + [{"src": "X", "da": 1, "db": 0, "dst": "generic"}]},
+     {"rules": TE2.rules + (RewriteRule("X", 1, 0, None),)},
+     UnknownGenerator, "rule source 'X' is not a generator"),
+    ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 0, "db": 0, "dst": "generic"}]},
+     {"rules": TE2.rules + (RewriteRule("P1", 0, 0, None),)},
+     InvariantMismatch, "rule (P1,0,0) needs da,db >= 0, da+db >= 1"),
+    ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": -1, "db": 2, "dst": "generic"}]},
+     {"rules": TE2.rules + (RewriteRule("P1", -1, 2, None),)},
+     InvariantMismatch, "rule (P1,-1,2) needs da,db >= 0, da+db >= 1"),
+    ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 2, "db": 0, "dst": "X"}]},
+     {"rules": TE2.rules + (RewriteRule("P1", 2, 0, "X"),)},
+     UnknownGenerator, "rule target 'X' is not a generator"),
+    ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 1, "db": 1, "dst": "R1"}]},
+     {"rules": TE2.rules + (RewriteRule("P1", 1, 1, "R1"),)},
+     InvariantMismatch, "rule (P1,1,1)->R1: target invariants (1, 0) differ from (0, -1)"),
+    ({"generators": TE2_DOC["generators"] + [dict(X_DOC, rot=1, tb=-2)],
+      "rules": TE2_DOC["rules"] + [{"src": "P1", "da": 1, "db": 0, "dst": "X"}]},
+     {"generators": TE2.generators + (Generator("X", "X", 1, -2),),
+      "rules": TE2.rules + (RewriteRule("P1", 1, 0, "X"),)},
+     InvariantMismatch, "rule (P1,1,0)->X: target invariants (1, -2) differ from (1, 0)"),
+    ({"generators": [], "rules": [], "surgery_distinct": [], "sigma_plus": [],
+      "sigma_minus": []},
+     {"generators": (), "rules": (), "surgery_distinct": (), "sigma_plus": (),
+      "sigma_minus": ()},
+     InvariantMismatch, "an atlas needs at least one generator"),
+    ({"tbb": 2, "width_ceiling": 2}, {"tbb": 2, "width_ceiling": 2},
+     MetadataInconsistent, "tbb=2 but the maximal generator tb is 1"),
+    ({"width_ceiling": 3}, {"width_ceiling": 3},
+     MetadataInconsistent, "uniformly thick atlases must have width_ceiling == tbb, got 3 != 1"),
+    ({"width_ceiling": 0, "uniformly_thick": False},
+     {"width_ceiling": 0, "uniformly_thick": False},
+     MetadataInconsistent, "width_ceiling 0 below tbb 1"),
+    ({"surgery_distinct": [{"a": "R1", "b": "X", "value": "yes"}]},
+     {"surgery_distinct": (("R1", "X", "yes"),)},
+     UnknownGenerator,
+     "surgery_distinct names unknown generator in {'a': 'R1', 'b': 'X', 'value': 'yes'}"),
+    ({"surgery_distinct": [{"a": "R1", "b": "L1", "value": "maybe"}]},
+     {"surgery_distinct": (("R1", "L1", "maybe"),)},
+     InvariantMismatch, "surgery_distinct value 'maybe' not in ('yes', 'no', 'unknown')"),
+    ({"sigma_plus": ["R1", "X"]}, {"sigma_plus": ("R1", "X")},
+     UnknownGenerator, "sigma_plus names unknown generator 'X'"),
+    ({"sigma_minus": ["X", "L1"]}, {"sigma_minus": ("X", "L1")},
+     UnknownGenerator, "sigma_minus names unknown generator 'X'"),
+]
+
+
+@pytest.mark.parametrize("doc_change, record_change, error, message", VALIDATOR_FAULTS)
+def test_one_fault_raises_alike_from_documents_and_records(
+        doc_change, record_change, error, message, tmp_path, capsys):
+    doc = dict(TE2_DOC, **doc_change)
+    with pytest.raises(error) as raised:
+        make_atlas(doc)
+    assert str(raised.value) == message
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(doc))
+    assert cli_run(["mountain", "--atlas", str(path), "--tb-min", "-3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(error) as raised:
+        atlas_module.validate_atlas(dataclasses.replace(TE2, **record_change))
+    assert str(raised.value) == message
 
 
 def test_normalize_examples():
@@ -424,6 +594,16 @@ def test_class_rows_are_the_per_class_walk_on_random_atlases(atlas):
     assert_rows_are_the_per_class_walk(atlas, tb_min)
     assert_rows_are_the_per_class_walk(atlas, tb_min, atlas.tbb - 2)
     assert_mountain_range_counts_the_rows(atlas, tb_min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases())
+def test_holds_is_membership_in_classes_at(atlas):
+    # parities both ways, points above the peak row and outside every cone
+    for tb in range(atlas.tbb + 2, atlas.tbb - 7, -1):
+        for rot in range(-9, 10):
+            c = Generic(rot, tb)
+            assert atlas_module.holds(atlas, c) == (c in atlas_module.classes_at(atlas, rot, tb))
 
 
 @settings(max_examples=150, deadline=None)

@@ -157,6 +157,27 @@ def test_make_link_rejects_generic_classes_the_atlas_does_not_hold():
     assert link.L == Generic(0, -127) and link.t == 1
 
 
+def test_link_constructors_reject_generic_classes_the_atlas_does_not_hold():
+    # each slope is of the constructor's regime; every class at (0, 1) and
+    # (2, -1) is Named, and (0, 5) lies above the peak row
+    atlas = tw()
+    builds = (
+        lambda c: make_greater_link(atlas, c, 2, 2, 3),
+        lambda c: make_integer_link(atlas, c, 2, 7),
+        lambda c: make_lesser_link(atlas, c, POS, 1, 2, -3),
+        lambda c: make_lesser_link(atlas, c, 0, 1, 2, -3, form="ruling"),
+    )
+    for build in builds:
+        for c in (Generic(0, 5), Generic(0, 1), Generic(2, -1), Generic(0, 2)):
+            with pytest.raises(InvariantMismatch, match=r"is not a class of twist-even-2$"):
+                build(c)
+    # a Generic the atlas holds, and the Named spelling of one it does not
+    assert make_greater_link(atlas, Generic(0, -1), 2, 2, 3).u == Generic(0, -1)
+    assert make_integer_link(atlas, Generic(0, -1), 2, 1).L == Generic(0, -1)
+    assert make_lesser_link(atlas, Generic(0, -1), POS, 1, 2, -3).base == Generic(0, -1)
+    assert make_integer_link(atlas, Named("P1", 2, 0), 2, 1).L == Named("R1", 1, 0)
+
+
 # -- canonicalization ----------------------------------------------------------
 
 
