@@ -21,11 +21,17 @@ stabilization is the Generic one lattice step down whatever the rules, so
 this is the walk that stabilizes every class of a row one at a time, and it
 gives the same rows with or without confluence.
 
-Named and Generic are ``typing.NamedTuple`` records, like ``RotTb``, so
-hashing, comparing and building a class runs in C.  A Named never equals a
+Records come in three kinds, none built by ``dataclasses``.  Named, Generic
+and RotTb are ``typing.NamedTuple``s, so hashing, comparing and building a
+class runs in C; so are the read-only records of the other modules (links,
+verdicts, search budgets, overlays, check results).  A Named never equals a
 Generic (their lengths differ), but a Generic equals the plain (rot, tb)
 tuple or ``RotTb`` with the same fields, so no set or dict may hold both
-classes and invariant pairs.
+classes and invariant pairs.  Generator and RewriteRule are read-only
+``__slots__`` records, whose fields the rule loops read faster than a named
+tuple's.  KnotAtlas and ``mountain.MountainRange`` are ``__slots__`` classes
+with a hand-written ``__init__`` that builds indexes or checks entries; they
+compare by their public fields and do not hash.
 
 Two queries have closed forms that hold with or without confluence.
 Normalization ends on its start generator or on a rule's target, so the
@@ -39,12 +45,11 @@ filled as questions arrive, so the twisted-copy search of integer-slope
 links asks each question once per atlas.  The table is exact with or
 without confluence: ``normalize`` is deterministic and an atlas is not
 changed after construction.  It is absent from equality, ``repr`` and the
-JSON form, and ``dataclasses.replace`` starts a copy with an empty table.
+JSON form, and ``KnotAtlas.replace`` starts a copy with an empty table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Union
@@ -92,20 +97,58 @@ class Generic(NamedTuple):
 LegClass = Union[Named, Generic]
 
 
-@dataclass(frozen=True)
-class Generator:
-    id: str
-    name: str
-    rot: int
-    tb: int
+_set = object.__setattr__
+
+
+class _Record:
+    """Equality and ``repr`` over the public fields ``_FIELDS``, as a dataclass has them."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Frozen(_Record):
+    """A read-only record that hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generator(_Frozen):
+    __slots__ = _FIELDS = ("id", "name", "rot", "tb")
+
+    def __init__(self, id: str, name: str, rot: int, tb: int) -> None:
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "rot", rot)
+        _set(self, "tb", tb)
 
     @property
     def rot_tb(self) -> RotTb:
         return RotTb(self.rot, self.tb)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(_Frozen):
     """Named(src, a, b) with a >= da and b >= db rewrites toward ``dst``.
 
     ``dst`` is a generator id, or None for the invariant-determined Generic
@@ -113,14 +156,16 @@ class RewriteRule:
     drop) is enforced at atlas construction.
     """
 
-    src: str
-    da: int
-    db: int
-    dst: Optional[str]
+    __slots__ = _FIELDS = ("src", "da", "db", "dst")
+
+    def __init__(self, src: str, da: int, db: int, dst: Optional[str]) -> None:
+        _set(self, "src", src)
+        _set(self, "da", da)
+        _set(self, "db", db)
+        _set(self, "dst", dst)
 
 
-@dataclass
-class KnotAtlas:
+class KnotAtlas(_Record):
     """An atlas; treat as immutable after construction.
 
     Constructing one builds the id, order, rule and surgery indexes and
@@ -138,32 +183,48 @@ class KnotAtlas:
     unknot, unknown in general).
     """
 
-    name: str
-    generators: tuple[Generator, ...]
-    rules: tuple[RewriteRule, ...]
-    tbb: int
-    width_ceiling: int
-    uniformly_thick: bool
-    surgery_distinct: tuple[tuple[str, str, str], ...] = ()
-    sigma_plus: tuple[str, ...] = ()
-    sigma_minus: tuple[str, ...] = ()
-    both_signs_determined: bool = False
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
-    _order: dict = field(default_factory=dict, repr=False, compare=False)
-    _rules_by_src: dict = field(default_factory=dict, repr=False, compare=False)
-    _surgery: dict = field(default_factory=dict, repr=False, compare=False)
-    # (normal form, sign) -> destabilizations, filled as questions arrive
-    _destabs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _FIELDS = (
+        "name", "generators", "rules", "tbb", "width_ceiling", "uniformly_thick",
+        "surgery_distinct", "sigma_plus", "sigma_minus", "both_signs_determined",
+    )
+    __slots__ = _FIELDS + ("_by_id", "_order", "_rules_by_src", "_surgery", "_destabs")
 
-    def __post_init__(self) -> None:
-        self._by_id = {g.id: g for g in self.generators}
-        self._order = {g.id: i for i, g in enumerate(self.generators)}
-        self._rules_by_src = {g.id: [] for g in self.generators}
-        for rule in self.rules:
+    def __init__(
+        self,
+        name: str,
+        generators: tuple[Generator, ...],
+        rules: tuple[RewriteRule, ...],
+        tbb: int,
+        width_ceiling: int,
+        uniformly_thick: bool,
+        surgery_distinct: tuple[tuple[str, str, str], ...] = (),
+        sigma_plus: tuple[str, ...] = (),
+        sigma_minus: tuple[str, ...] = (),
+        both_signs_determined: bool = False,
+    ) -> None:
+        self.name = name
+        self.generators = generators
+        self.rules = rules
+        self.tbb = tbb
+        self.width_ceiling = width_ceiling
+        self.uniformly_thick = uniformly_thick
+        self.surgery_distinct = surgery_distinct
+        self.sigma_plus = sigma_plus
+        self.sigma_minus = sigma_minus
+        self.both_signs_determined = both_signs_determined
+        self._by_id = {g.id: g for g in generators}
+        self._order = {g.id: i for i, g in enumerate(generators)}
+        self._rules_by_src = {g.id: [] for g in generators}
+        for rule in rules:
             self._rules_by_src.setdefault(rule.src, []).append(rule)
-        self._surgery = {
-            frozenset((a, b)): value for (a, b, value) in self.surgery_distinct
-        }
+        self._surgery = {frozenset((a, b)): value for (a, b, value) in surgery_distinct}
+        # (normal form, sign) -> destabilizations, filled as questions arrive
+        self._destabs = {}
+
+    def replace(self, **changes) -> KnotAtlas:
+        """A copy with ``changes`` to its public fields, with its indexes
+        rebuilt and an empty destabilization table; it is not validated."""
+        return KnotAtlas(**dict(zip(self._FIELDS, self._values()), **changes))
 
     def generator(self, gid: str) -> Generator:
         try:
@@ -387,8 +448,16 @@ def k_minus_5_atlas() -> KnotAtlas:
     ))
 
 
+# The largest N of a builtin twist-even-N atlas.  The build grows as N^2 and
+# its surgery relation as N^4 (twist-even-48-surgery: 1.2-3.5 s and 240-450
+# MB on a 2-vCPU host); a larger name raises UnsupportedKind instead of
+# running for minutes.
+MAX_TWIST_EVEN = 48
+
+
 def builtin_atlas(kind: str) -> KnotAtlas:
-    """Builtin atlases by name: unknot, k-minus-5, twist-even-N[-surgery]."""
+    """Builtin atlases by name: unknot, k-minus-5, and twist-even-N[-surgery]
+    for 2 <= N <= MAX_TWIST_EVEN."""
     if kind == "unknot":
         return unknot_atlas()
     if kind == "k-minus-5":
@@ -398,8 +467,14 @@ def builtin_atlas(kind: str) -> KnotAtlas:
         surgery = rest.endswith("-surgery")
         if surgery:
             rest = rest[: -len("-surgery")]
-        if rest.isdigit() and int(rest) >= 2:
-            return twist_even_atlas(int(rest), surgery)
+        if rest.isdecimal():
+            # the length first: int() of a long numeral is slow or refused
+            if len(rest) > 4 or int(rest) > MAX_TWIST_EVEN:
+                raise UnsupportedKind(
+                    f"builtin twist-even-N atlases have N <= {MAX_TWIST_EVEN}, got {kind!r}"
+                )
+            if int(rest) >= 2:
+                return twist_even_atlas(int(rest), surgery)
     raise UnsupportedKind(f"no builtin atlas named {kind!r}")
 
 

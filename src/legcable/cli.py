@@ -21,6 +21,7 @@ from pathlib import Path
 from . import selfcheck
 from .atlas import (
     BUILTIN_NAMES,
+    MAX_TWIST_EVEN,
     atlas_to_json_str,
     builtin_atlas,
     make_atlas,
@@ -55,7 +56,7 @@ def load_atlas(spec: str):
     if not path.exists():
         raise UnsupportedKind(
             f"{spec!r} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
-            f"twist-even-N[-surgery]) nor an atlas JSON file"
+            f"twist-even-N[-surgery] for 2 <= N <= {MAX_TWIST_EVEN}) nor an atlas JSON file"
         )
     return make_atlas(_read_json(path.read_text(), "atlas document"))
 

@@ -43,8 +43,7 @@ classification is silent, with a reason naming the silent clause.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import ClassVar, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .atlas import (
     Generic,
@@ -101,8 +100,7 @@ NOT_ISOTOPIC = "not_isotopic"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     reason: str = ""
     witness: Optional[dict] = None
@@ -145,17 +143,30 @@ class Verdict:
 StabVec = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class GreaterLink:
+# The link records are named tuples that equal only a link of their own type:
+# as plain tuples a GreaterLink and an IntegerLink with equal fields, or a
+# link and the tuple of its fields, would be equal.  They hash as that tuple.
+
+
+def _same_link(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_link(self, other) -> bool:
+    return not _same_link(self, other)
+
+
+class GreaterLink(NamedTuple):
     u: LegClass
     n: int
     p: int
     q: int
     vec: StabVec
 
+    __eq__, __ne__ = _same_link, _other_link
 
-@dataclass(frozen=True)
-class IntegerLink:
+
+class IntegerLink(NamedTuple):
     """The t-twisted n-copy of L, stabilized by ``vec``: the (n, nq)-cable
     with q = tb(L) - t.
 
@@ -170,11 +181,12 @@ class IntegerLink:
     t: int
     q: int
     vec: StabVec
-    p: ClassVar[int] = 1
+    p = 1
+
+    __eq__, __ne__ = _same_link, _other_link
 
 
-@dataclass(frozen=True)
-class LesserLink:
+class LesserLink(NamedTuple):
     """Either a stabilized standard cable (form "divide", sign +1/-1 on the
     base window class) or a stabilized ruling curve family (form "ruling",
     sign 0, base at or below the window)."""
@@ -186,6 +198,8 @@ class LesserLink:
     p: int
     q: int
     vec: StabVec
+
+    __eq__, __ne__ = _same_link, _other_link
 
 
 Link = Union[GreaterLink, IntegerLink, LesserLink]
@@ -388,7 +402,7 @@ def component_class(atlas, link: Link, c: int):
     if isinstance(link, IntegerLink):
         t = link.t if c > 1 else 0
         return stabilize(atlas, stabilize(atlas, link.L, POS, t + a), NEG, t + b)
-    return canonicalize(atlas, replace(link, n=1, vec=((a, b),)))
+    return canonicalize(atlas, link._replace(n=1, vec=((a, b),)))
 
 
 def stabilize_component(atlas, link: Link, c: int, sign: int, count: int = 1) -> Link:
@@ -397,7 +411,7 @@ def stabilize_component(atlas, link: Link, c: int, sign: int, count: int = 1) ->
     a, b = _component(link, c)
     vec = list(link.vec)
     vec[c - 1] = (a + count, b) if sign == POS else (a, b + count)
-    return canonicalize(atlas, replace(link, vec=tuple(vec)))
+    return canonicalize(atlas, link._replace(vec=tuple(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +424,7 @@ def canonicalize(atlas, link: Link) -> Link:
     if isinstance(link, IntegerLink):
         # Presentation moves are identities, not reductions; they are
         # explored inside the decision procedure.  Only the base normalizes.
-        return replace(link, L=normalize(atlas, link.L))
+        return link._replace(L=normalize(atlas, link.L))
     return _canonicalize_lesser(atlas, link)
 
 
@@ -457,7 +471,7 @@ def _canonicalize_lesser(atlas, link: LesserLink) -> LesserLink:
         elif _fewest(vec, sign) >= th1:
             base, vec = stabilize(atlas, base, sign, 1), _take(vec, sign, th1)
         else:
-            return replace(link, base=base)
+            return link._replace(base=base)
     if invariants(atlas, base).tb == ceil_div(q, p):
         # A ruling over a window class is the common theta0-stabilization
         # of its two standard cables; pushing theta1 of one sign trades
@@ -831,8 +845,11 @@ def enumerate_nondestab_links(atlas, n: int, p: int, q: int) -> list[Link]:
             make_greater_link(atlas, Named(g.id), n, p, q) for g in peaks(atlas)
         ]
     if reg is Regime.INTEGER_LESSER:
+        # Row classes are normal forms the atlas holds, and t = tb - q >= 0
+        # on every row down to q, so make_integer_link would check nothing.
+        vec = _check_vec(None, n)
         return [
-            make_integer_link(atlas, cls, n, tb - q)
+            IntegerLink(cls, n, tb - q, q, vec)
             for tb, row in class_rows(atlas, q)
             for cls in row
         ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import CutoffAbovePeak, InvalidMultiplicity, ParityViolation, TooManyRows
@@ -17,27 +16,48 @@ Point = tuple[int, int]
 MAX_ROWS = 500
 
 
-@dataclass
 class MountainRange:
     """Association from lattice points (rot, tb) to class multiplicities.
 
     Entries only occupy points with rot + tb odd.  ``tb_min`` records the
     cutoff row; ``truncated`` is set when families continue below it (for
     stabilization cones that is always the case once the bottom row is
-    occupied).  ``labels`` optionally names the classes at a point.
+    occupied).  ``labels`` optionally names the classes at a point.  Ranges
+    compare by their four fields and do not hash.
     """
 
-    entries: dict[Point, int]
-    tb_min: int
-    labels: dict[Point, tuple[str, ...]] = field(default_factory=dict)
-    truncated: bool = True
+    __slots__ = ("entries", "tb_min", "labels", "truncated")
 
-    def __post_init__(self) -> None:
-        for (rot, tb), mult in self.entries.items():
+    def __init__(
+        self,
+        entries: dict[Point, int],
+        tb_min: int,
+        labels: Optional[dict[Point, tuple[str, ...]]] = None,
+        truncated: bool = True,
+    ) -> None:
+        for (rot, tb), mult in entries.items():
             if (rot + tb) % 2 == 0:
                 raise ParityViolation(f"entry at ({rot}, {tb}) has even rot + tb")
             if mult < 1:
                 raise InvalidMultiplicity(rot, tb, mult)
+        self.entries = entries
+        self.tb_min = tb_min
+        self.labels = {} if labels is None else labels
+        self.truncated = truncated
+
+    def _values(self) -> tuple:
+        return (self.entries, self.tb_min, self.labels, self.truncated)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"MountainRange(entries={self.entries!r}, tb_min={self.tb_min!r}, "
+            f"labels={self.labels!r}, truncated={self.truncated!r})"
+        )
 
     def points(self) -> list[Point]:
         """Occupied lattice points, top row first, left to right."""
@@ -77,8 +97,7 @@ def from_counts(
     truncated exactly when its cutoff row is occupied.
     """
     truncated = any(t == tb_min for (_, t) in entries)
-    return MountainRange(entries=entries, tb_min=tb_min, labels=labels or {},
-                         truncated=truncated)
+    return MountainRange(entries, tb_min, labels, truncated)
 
 
 def tally(labelled: Iterable[tuple[Point, str]], tb_min: int) -> MountainRange:

@@ -32,8 +32,7 @@ closure components per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .atlas import (
     Generic,
@@ -63,8 +62,7 @@ from .links import (
 from .mountain import MountainRange, from_counts
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Caps for closure searches; exceeding them yields Unknown, never a guess."""
 
     depth: int = 64
@@ -342,8 +340,7 @@ def _inv_key(atlas, obj) -> tuple:
 # Confluence
 
 
-@dataclass
-class ConfluenceReport:
+class ConfluenceReport(NamedTuple):
     divergences: list
 
     @property

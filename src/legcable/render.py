@@ -10,9 +10,9 @@ which runs in pure Python.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from pyexpat import ParserCreate
+from typing import NamedTuple
 
 from .errors import EmptyRange, TooWide
 from .mountain import MountainRange
@@ -88,8 +88,7 @@ def json_array(items: list[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-@dataclass(frozen=True)
-class Overlay:
+class Overlay(NamedTuple):
     """A polyline overlay with optional labels at its vertices."""
 
     points: tuple[tuple[int, int], ...]
@@ -193,15 +192,26 @@ def svg_mountain(mr: MountainRange, overlays=None) -> str:
     return "\n".join(out) + "\n"
 
 
+# a circle's name as expat reports it: namespace, separator, local name
+_SVG_CIRCLE = "http://www.w3.org/2000/svg circle"
+
+
 def svg_entries(svg_text: str) -> dict[tuple[int, int], int]:
-    """Recover the exact entry set from a rendered SVG document."""
-    root = ET.fromstring(svg_text)
-    ns = "{http://www.w3.org/2000/svg}"
+    """Recover the exact entry set from a rendered SVG document.
+
+    Reads the lattice data of every SVG ``circle`` through expat with
+    namespaces on, so a circle outside the SVG namespace is skipped; text
+    that is not well-formed XML raises ``pyexpat.ExpatError``.
+    """
     entries = {}
-    for circle in root.iter(f"{ns}circle"):
-        r = circle.get("data-rot")
-        t = circle.get("data-tb")
-        m = circle.get("data-mult")
-        if r is not None and t is not None and m is not None:
-            entries[(int(r), int(t))] = int(m)
+
+    def start(name: str, attrs: dict) -> None:
+        if name == _SVG_CIRCLE:
+            r, t, m = attrs.get("data-rot"), attrs.get("data-tb"), attrs.get("data-mult")
+            if r is not None and t is not None and m is not None:
+                entries[(int(r), int(t))] = int(m)
+
+    parser = ParserCreate(namespace_separator=" ")
+    parser.StartElementHandler = start
+    parser.Parse(svg_text, True)
     return entries

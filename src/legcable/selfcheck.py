@@ -9,8 +9,8 @@ criterion; the CLI's ``selfcheck`` command prints a PASS/FAIL line for each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from math import gcd
+from typing import NamedTuple
 
 from .atlas import (
     Named,
@@ -53,8 +53,7 @@ from .oracle import SearchBudget, check_confluence, closure_equal
 BUILTINS = ("unknot", "k-minus-5", "twist-even-2", "twist-even-3")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -343,7 +342,7 @@ def _representation_twin(rng, atlas, link):
         lhs_vec = ((link.vec[0][0] + 1, link.vec[0][1]),) + link.vec[1:]
         rhs_vec = (link.vec[0],) + tuple((a, b + 1) for a, b in link.vec[1:])
         up = stabilize(atlas, link.L, POS, 1)
-        return replace(link, vec=lhs_vec), replace(link, L=up, t=link.t - 1, vec=rhs_vec)
+        return link._replace(vec=lhs_vec), link._replace(L=up, t=link.t - 1, vec=rhs_vec)
     th0, _ = lesser_thresholds(atlas, link.p, link.q)
     vec_plus = tuple((a, b + th0) for a, b in link.vec)
     vec_minus = tuple((a + th0, b) for a, b in link.vec)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +45,11 @@ from legcable.errors import (
     UnknownGenerator,
     UnsupportedKind,
 )
-from legcable.mountain import MAX_ROWS, tally
+from legcable.links import GreaterLink, IntegerLink, LesserLink, Verdict
+from legcable.mountain import MAX_ROWS, MountainRange, tally
+from legcable.oracle import ConfluenceReport, SearchBudget
+from legcable.render import Overlay
+from legcable.selfcheck import CheckResult
 
 UNKNOT_SPEC = {
     "name": "unknot",
@@ -302,7 +307,7 @@ def test_one_fault_raises_alike_from_documents_and_records(
     assert cli_run(["mountain", "--atlas", str(path), "--tb-min", "-3"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     with pytest.raises(error) as raised:
-        atlas_module.validate_atlas(dataclasses.replace(TE2, **record_change))
+        atlas_module.validate_atlas(TE2.replace(**record_change))
     assert str(raised.value) == message
 
 
@@ -812,6 +817,52 @@ DataNamed = dataclasses.make_dataclass(
 DataGeneric = dataclasses.make_dataclass("Generic", [("rot", int), ("tb", int)], frozen=True)
 
 
+def twin(record, fields, frozen=True):
+    """The dataclass ``record`` was, or a frozen one if it is now read-only."""
+    return dataclasses.make_dataclass(record.__name__, fields, frozen=frozen)
+
+
+LINK_VEC = ((1, 2), (2, 1))
+# record, its dataclass twin, and argument tuples to build both from
+RECORD_TWINS = [
+    (Generator, twin(Generator, ["id", "name", "rot", "tb"]),
+     [("P1", "P1", 0, 1), ("P2", "P2", 0, 1), ("R1", "R1", 1, 0)]),
+    (RewriteRule, twin(RewriteRule, ["src", "da", "db", "dst"]),
+     [("P1", 1, 0, "R1"), ("P1", 0, 1, "L1"), ("R1", 0, 1, None)]),
+    (Verdict, twin(Verdict, ["kind", ("reason", str, ""), ("witness", dict, None)]),
+     [("isotopic",), ("not_isotopic", "r"), ("unknown", "r", {"left": "A"})]),
+    (GreaterLink, twin(GreaterLink, ["u", "n", "p", "q", "vec"]),
+     [(Named("A"), 2, 2, 1, LINK_VEC), (Named("B"), 2, 2, 1, LINK_VEC),
+      (Generic(0, -5), 1, 2, 1, ((0, 0),))]),
+    (IntegerLink, twin(IntegerLink, ["L", "n", "t", "q", "vec"]),
+     [(Named("A"), 2, 2, 1, LINK_VEC), (Named("R1", 1), 2, 0, -1, LINK_VEC)]),
+    (LesserLink, twin(LesserLink, ["form", "base", "sign", "n", "p", "q", "vec"]),
+     [("divide", Named("A"), 1, 2, 2, -7, LINK_VEC),
+      ("ruling", Named("A"), 0, 2, 2, -7, LINK_VEC)]),
+    (SearchBudget, twin(SearchBudget, [("depth", int, 64), ("node_cap", int, 50000)]),
+     [(), (8,), (8, 100)]),
+    (Overlay, twin(Overlay, ["points", ("labels", tuple, ()), ("closed", bool, False)]),
+     [(((0, 1), (1, 0)),), (((0, 1), (1, 0)), ("a", "b"), True)]),
+    # the two result records were mutable dataclasses and are now read-only
+    (CheckResult, twin(CheckResult, ["name", "passed", "detail"]),
+     [("gate", True, "ok"), ("gate", False, "ok")]),
+    (ConfluenceReport, twin(ConfluenceReport, ["divergences"]), [([],), ([{"input": "g"}],)]),
+    # the two slots classes stay mutable and unhashable
+    (KnotAtlas, twin(KnotAtlas, [
+        "name", "generators", "rules", "tbb", "width_ceiling", "uniformly_thick",
+        ("surgery_distinct", tuple, ()), ("sigma_plus", tuple, ()), ("sigma_minus", tuple, ()),
+        ("both_signs_determined", bool, False)], frozen=False),
+     [(b.name, b.generators, b.rules, b.tbb, b.width_ceiling, b.uniformly_thick,
+       b.surgery_distinct, b.sigma_plus, b.sigma_minus, b.both_signs_determined)
+      for b in map(builtin_atlas, ("unknot", "k-minus-5", "twist-even-2-surgery"))]
+     + [("u", (Generator("U", "U", 0, -1),), (), -1, -1, False)]),
+    (MountainRange, twin(MountainRange, [
+        "entries", "tb_min", ("labels", dict, dataclasses.field(default_factory=dict)),
+        ("truncated", bool, True)], frozen=False),
+     [({(0, 1): 2}, -3), ({(0, 1): 2}, -3, {(0, 1): ("P1", "P2")}, False), ({}, 0)]),
+]
+
+
 def test_class_records_keep_value_semantics():
     """Named and Generic are named tuples, and behave as the frozen
     dataclasses they replaced.
@@ -840,6 +891,66 @@ def test_class_records_keep_value_semantics():
     assert repr(Generic(-3, -4)) == "Generic(rot=-3, tb=-4)"
     assert repr(DataNamed("P1", 2, 1)) == repr(Named("P1", 2, 1))
     assert repr(DataGeneric(-3, -4)) == repr(Generic(-3, -4))
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("record, data, samples", RECORD_TWINS,
+                         ids=[record.__name__ for record, _, _ in RECORD_TWINS])
+def test_records_keep_their_dataclass_semantics(record, data, samples):
+    """Every record that was a dataclass has its ``repr``, equality and hash.
+
+    A hash equal to the hash of the field tuple keeps set iteration order,
+    and with it golden bytes, under every hash seed.
+    """
+    built = [record(*args) for args in samples]
+    twins = [data(*args) for args in samples]
+    names = [f.name for f in dataclasses.fields(data)]
+    for rec, tw in zip(built, twins):
+        assert repr(rec) == repr(tw)
+        values = tuple(getattr(tw, name) for name in names)
+        assert tuple(getattr(rec, name) for name in names) == values
+        assert hash_or_error(rec) == hash_or_error(tw)
+        if hash_or_error(tw) is not TypeError:
+            assert hash(rec) == hash(values)
+        if data.__dataclass_params__.frozen:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, 5)
+    for (a, ta), (b, tb) in product(zip(built, twins), repeat=2):
+        assert (a == b, a != b) == (ta == tb, ta != tb)
+    if record in (KnotAtlas, MountainRange):
+        assert all(hash_or_error(rec) is TypeError for rec in built)
+
+
+def test_links_of_different_types_are_never_equal():
+    fields = (Named("A"), 2, 2, 1, LINK_VEC)
+    greater, integer = GreaterLink(*fields), IntegerLink(*fields)
+    lesser = LesserLink("divide", Named("A"), 1, 2, 2, 1, LINK_VEC)
+    assert greater != integer and not greater == integer and integer != greater
+    assert greater != fields and fields != greater and integer != fields
+    assert lesser != tuple(lesser) and len({greater, integer, lesser}) == 3
+    assert IntegerLink(*fields).p == 1
+    assert greater._replace(n=3) == GreaterLink(Named("A"), 3, 2, 1, LINK_VEC)
+
+
+def test_atlas_replace_rebuilds_indexes_and_starts_an_empty_table():
+    atlas = builtin_atlas("twist-even-2")
+    atlas_module.destabilizations(atlas, Named("R1"), POS)
+    assert atlas._destabs
+    copy = atlas.replace()
+    assert copy == atlas and copy is not atlas and copy._destabs == {}
+    renamed = atlas.replace(name="other", rules=atlas.rules[:1])
+    assert (renamed.name, renamed.rules) == ("other", atlas.rules[:1])
+    assert renamed.rules_for("P1") == list(atlas.rules[:1]) and renamed.rules_for("P2") == []
+    assert renamed.generators == atlas.generators and atlas.name == "twist-even-2"
+    with pytest.raises(TypeError):
+        atlas.replace(colour="red")
 
 
 @pytest.mark.parametrize("name", ["k-minus-5", "twist-even-3"])

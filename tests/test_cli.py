@@ -4,10 +4,17 @@ import argparse
 import copy
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+from legcable import atlas as atlas_module
 from legcable import atlas_to_json, atlas_to_json_str, builtin_atlas
 from legcable import cli, selfcheck
+from legcable.errors import UnsupportedKind
 from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
 from test_golden_cli import CASES
 
@@ -601,3 +608,35 @@ def test_second_run_builds_no_parser(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert added == []
+
+
+def test_twist_even_names_past_the_bound_exit_two_fast(capsys, monkeypatch):
+    # twist-even-99999 ran past a 10 s timeout; twist-even-1000 took 7.5 s and 529 MB
+    for name in ("twist-even-99999", "twist-even-1000-surgery", "twist-even-49",
+                 "twist-even-49-surgery"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "mountain", "--atlas", name, "--tb-min", "-3")
+        assert time.perf_counter() - start < 1.0, name
+        assert code == EXIT_USAGE and out == "", name
+        assert "2 <= N <= 48" in err, name
+        with pytest.raises(UnsupportedKind, match="N <= 48"):
+            builtin_atlas(name)
+    # a numeral past int()'s digit limit is refused by its length
+    with pytest.raises(UnsupportedKind, match="N <= 48"):
+        builtin_atlas("twist-even-" + "9" * 5000)
+    assert builtin_atlas("twist-even-48").name == "twist-even-48"
+    # the surgery atlas at the bound takes seconds to build; its name is accepted
+    built = []
+    monkeypatch.setattr(atlas_module, "twist_even_atlas", lambda n, s: built.append((n, s)))
+    builtin_atlas("twist-even-48-surgery")
+    assert built == [(48, True)]
+
+
+def test_import_loads_no_dataclasses_inspect_or_elementtree():
+    src = Path(__file__).resolve().parent.parent / "src"
+    heavy = ("dataclasses", "inspect", "xml.etree.ElementTree")
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import legcable.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -6,7 +6,6 @@ here are the table-free move set: every destabilization rescans its lattice
 point and every state is normalized again.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -181,9 +180,7 @@ def test_destabilization_table_is_private_to_its_atlas():
     # R1 destabilizes to the peaks that sigma_plus sends to it; with those
     # rules gone, a copy must not answer from the original's table
     assert atlas_module.destabilizations(atlas, Named("R1"), POS) != []
-    bare = dataclasses.replace(
-        atlas, rules=tuple(r for r in atlas.rules if r.dst != "R1")
-    )
+    bare = atlas.replace(rules=tuple(r for r in atlas.rules if r.dst != "R1"))
     assert bare._destabs == {}
     assert atlas_module.destabilizations(bare, Named("R1"), POS) == []
 

@@ -18,6 +18,7 @@ from legcable import (
     RULING,
     builtin_atlas,
     canonicalize,
+    class_rows,
     classes_at_tb,
     component_class,
     component_invariants,
@@ -634,6 +635,24 @@ def test_enumerate_nondestab_links_fixtures():
     assert len(lesser) == 6
     with pytest.raises(WrongRegime):
         enumerate_nondestab_links(builtin_atlas("unknot"), 2, 2, -3)
+
+
+@pytest.mark.parametrize("name, n, q", [("unknot", 2, -4), ("k-minus-5", 3, -9),
+                                         ("twist-even-3", 2, -2), ("twist-even-4", 1, 0)])
+def test_integer_enumeration_checks_no_row_class(monkeypatch, name, n, q):
+    # every row class is a class of the atlas, so asking the atlas again is waste
+    atlas = builtin_atlas(name)
+    through_constructor = [
+        make_integer_link(atlas, c, n, tb - q) for tb, row in class_rows(atlas, q) for c in row
+    ]
+
+    def refuse(*args):
+        raise AssertionError("holds called during an integer enumeration")
+
+    monkeypatch.setattr(links_module, "holds", refuse)
+    links = enumerate_nondestab_links(atlas, n, 1, q)
+    assert links == through_constructor and len(links) > 1
+    assert [repr(link) for link in links] == [repr(link) for link in through_constructor]
 
 
 def test_max_tb_peak_links_have_constant_components():

@@ -1,6 +1,8 @@
 """ASCII, SVG and JSON mountain-range renderers."""
 
 import json
+import xml.etree.ElementTree as ET
+from pyexpat import ExpatError
 
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +87,38 @@ def test_svg_single_point_range():
     text = svg_mountain(mr)
     assert text.count("<circle") == 1
     assert svg_entries(text) == {(0, 1): 1}
+
+
+def element_tree_entries(svg_text):
+    """The ElementTree reader ``svg_entries`` replaced."""
+    ns = "{http://www.w3.org/2000/svg}"
+    entries = {}
+    for circle in ET.fromstring(svg_text).iter(f"{ns}circle"):
+        r, t, m = circle.get("data-rot"), circle.get("data-tb"), circle.get("data-mult")
+        if r is not None and t is not None and m is not None:
+            entries[(int(r), int(t))] = int(m)
+    return entries
+
+
+def test_svg_entries_reads_as_element_tree_did():
+    surgery = builtin_atlas("twist-even-2-surgery")
+    for text in (svg_mountain(mountain_range(builtin_atlas("twist-even-8"), -20)),
+                 svg_mountain(lesser_mountain_range(surgery, 2, 1, -8), ifsurg_overlay(2, 1, -8))):
+        assert svg_entries(text) == element_tree_entries(text)
+        assert len(svg_entries(text)) > 50
+
+
+def test_svg_entries_is_strict_and_reads_svg_circles_only():
+    text = svg_mountain(MountainRange(entries={(0, 1): 2}, tb_min=1, truncated=False))
+    for broken in (text[:-10], text.replace("<circle", "<circle <"), "", text + "<svg/>"):
+        with pytest.raises(ExpatError):
+            svg_entries(broken)
+    foreign = ('<svg xmlns="http://www.w3.org/2000/svg" xmlns:x="urn:other">'
+               '<x:circle data-rot="1" data-tb="0" data-mult="5"/>'
+               '<circle data-rot="0" data-tb="1" data-mult="2"/></svg>')
+    assert svg_entries(foreign) == element_tree_entries(foreign) == {(0, 1): 2}
+    bare = '<svg><circle data-rot="0" data-tb="1" data-mult="2"/></svg>'
+    assert svg_entries(bare) == {}
 
 
 def test_ascii_and_svg_render_same_entries():

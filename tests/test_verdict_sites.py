@@ -29,7 +29,6 @@ import ast
 import re
 import sys
 from collections import Counter, defaultdict
-from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 from pathlib import Path
@@ -385,7 +384,7 @@ def test_labels_round_trip():
 @st.composite
 def thick_atlases(draw):
     """``small_atlases`` marked uniformly thick; not all of them are confluent."""
-    return replace(draw(small_atlases()), uniformly_thick=True)
+    return draw(small_atlases()).replace(uniformly_thick=True)
 
 
 def multiset(atlas, link):
