@@ -173,6 +173,13 @@ class KnotAtlas(_Record):
     indexes, and ``make_atlas`` and every builtin return only what it
     passed.  A hand-built atlas is as valid as its records.
 
+    Two tables start empty and fill as questions arrive: ``_destabs``, the
+    decider's destabilizations per (normal form, sign), and ``_moves``, the
+    oracle's one-step rewrites per class (with ``_rules_by_dst``, the
+    oracle's rules-by-target index, built at its first question).  They hold
+    answers the public fields determine, so equality and ``repr`` ignore
+    them, and ``replace`` starts them afresh.
+
     ``surgery_distinct`` holds the partial relation "Legendrian surgery on
     these two generators yields distinct contact manifolds"; the relation is
     read family-wise, i.e. it also answers for Named(g, a, b) vs
@@ -187,7 +194,9 @@ class KnotAtlas(_Record):
         "name", "generators", "rules", "tbb", "width_ceiling", "uniformly_thick",
         "surgery_distinct", "sigma_plus", "sigma_minus", "both_signs_determined",
     )
-    __slots__ = _FIELDS + ("_by_id", "_order", "_rules_by_src", "_surgery", "_destabs")
+    __slots__ = _FIELDS + (
+        "_by_id", "_order", "_rules_by_src", "_surgery", "_destabs", "_moves", "_rules_by_dst",
+    )
 
     def __init__(
         self,
@@ -218,12 +227,16 @@ class KnotAtlas(_Record):
         for rule in rules:
             self._rules_by_src.setdefault(rule.src, []).append(rule)
         self._surgery = {frozenset((a, b)): value for (a, b, value) in surgery_distinct}
-        # (normal form, sign) -> destabilizations, filled as questions arrive
+        # (normal form, sign) -> destabilizations, for the decider, and class
+        # -> one-step rewrites, for the oracle, both filled as questions arrive;
+        # the oracle builds the rules-by-target index at its first question
         self._destabs = {}
+        self._moves = {}
+        self._rules_by_dst = None
 
     def replace(self, **changes) -> KnotAtlas:
         """A copy with ``changes`` to its public fields, with its indexes
-        rebuilt and an empty destabilization table; it is not validated."""
+        rebuilt and empty destabilization and move tables; it is not validated."""
         return KnotAtlas(**dict(zip(self._FIELDS, self._values()), **changes))
 
     def generator(self, gid: str) -> Generator:

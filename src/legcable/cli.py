@@ -13,6 +13,7 @@ call.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import sys
@@ -53,7 +54,14 @@ def load_atlas(spec: str):
     except UnsupportedKind:
         pass
     path = Path(spec)
-    if not path.exists():
+    try:
+        exists = path.exists()
+    except OSError as exc:
+        # a name longer than the file system allows names no file
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        exists = False
+    if not exists:
         raise UnsupportedKind(
             f"{spec!r} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
             f"twist-even-N[-surgery] for 2 <= N <= {MAX_TWIST_EVEN}) nor an atlas JSON file"

@@ -25,6 +25,20 @@ exactly when the full second orbit intersects it.  The searches that run
 to the end -- every disjoint and every budget-cut verdict -- are the full
 searches.
 
+Each move costs its answer.  ``legclass_moves`` answers a class once per
+atlas, from the table ``atlas._moves`` (class -> its one-step rewrites),
+which starts empty, fills as questions arrive and holds classes only, never
+link states, so it is bounded by the classes the oracle visits.  A class's
+backward steps come from an index of the rules by target (``None`` for the
+rules to Generic), built on the atlas at the oracle's first question, so a
+builder or decider that never asks pays nothing for it.  A link state's
+stabilization vector is sorted (``_greater_state``, ``_lesser_state``) and
+non-empty (a link has at least one component), and every link move shifts
+all of its ``a``, all of its ``b``, or both, by one constant.  A shift keeps
+the lexicographic order, so the moves build their vectors without sorting,
+and read the least ``a`` off the first entry, with the same states, in the
+same order, as sorting would give.
+
 The three ``brute_*`` ranges share one builder, ``_brute_range``: each lists
 stabilized presentations with their (rot, tb) point, and the builder counts
 closure components per point.
@@ -46,7 +60,7 @@ from .atlas import (
     invariants,
     peaks,
 )
-from .cables import lesser_thresholds, window_classes
+from .cables import window_classes
 from .errors import BudgetExceeded, KindMismatch
 from .links import (
     DIVIDE,
@@ -120,21 +134,32 @@ def _forward_steps(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
     return out
 
 
-def legclass_moves(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
-    """One rewrite step: the forward steps, then the backward ones, in rule order."""
+def _class_moves(atlas: KnotAtlas, c: LegClass) -> tuple[LegClass, ...]:
+    by_dst = atlas._rules_by_dst
+    if by_dst is None:
+        by_dst = atlas._rules_by_dst = {}
+        for rule in atlas.rules:
+            by_dst.setdefault(rule.dst, []).append(rule)
     if isinstance(c, Named):
-        return _forward_steps(atlas, c) + [
+        return tuple(_forward_steps(atlas, c) + [
             Named(rule.src, c.plus + rule.da, c.minus + rule.db)
-            for rule in atlas.rules
-            if rule.dst == c.gen
-        ]
+            for rule in by_dst.get(c.gen, ())
+        ])
     out = []
-    for rule in atlas.rules:
-        if rule.dst is None:
-            ab = _counts_at(atlas.generator(rule.src), c.rot, c.tb)
-            if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
-                out.append(Named(rule.src, *ab))
-    return out
+    for rule in by_dst.get(None, ()):
+        ab = _counts_at(atlas.generator(rule.src), c.rot, c.tb)
+        if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
+            out.append(Named(rule.src, *ab))
+    return tuple(out)
+
+
+def legclass_moves(atlas: KnotAtlas, c: LegClass) -> tuple[LegClass, ...]:
+    """One rewrite step: the forward steps, then the backward ones, in rule
+    order; answered once per atlas and class."""
+    moves = atlas._moves.get(c)
+    if moves is None:
+        moves = atlas._moves[c] = _class_moves(atlas, c)
+    return moves
 
 
 def _greater_state(link: GreaterLink) -> tuple:
@@ -142,20 +167,21 @@ def _greater_state(link: GreaterLink) -> tuple:
 
 
 def _greater_moves(atlas: KnotAtlas, state: tuple) -> list[tuple]:
+    """Rewrites of the companion, then pushes, then lifts.
+
+    ``vec`` is sorted and non-empty, and every push or lift shifts all of
+    its ``a`` or all of its ``b`` by one constant, which keeps it sorted.
+    """
     _, u, p, q, vec = state
     out = [("greater", u2, p, q, vec) for u2 in legclass_moves(atlas, u)]
-    if all(a >= p for a, _ in vec):
-        pushed = tuple(sorted((a - p, b) for a, b in vec))
-        out.append(("greater", _raw_stab(u, POS), p, q, pushed))
-    if all(b >= p for _, b in vec):
-        pushed = tuple(sorted((a, b - p) for a, b in vec))
-        out.append(("greater", _raw_stab(u, NEG), p, q, pushed))
-    lifted_a = tuple(sorted((a + p, b) for a, b in vec))
+    if vec[0][0] >= p:
+        out.append(("greater", _raw_stab(u, POS), p, q, tuple([(a - p, b) for a, b in vec])))
+    if min([b for _, b in vec]) >= p:
+        out.append(("greater", _raw_stab(u, NEG), p, q, tuple([(a, b - p) for a, b in vec])))
     for x in _raw_destabs(atlas, u, POS):
-        out.append(("greater", x, p, q, lifted_a))
-    lifted_b = tuple(sorted((a, b + p) for a, b in vec))
+        out.append(("greater", x, p, q, tuple([(a + p, b) for a, b in vec])))
     for x in _raw_destabs(atlas, u, NEG):
-        out.append(("greater", x, p, q, lifted_b))
+        out.append(("greater", x, p, q, tuple([(a, b + p) for a, b in vec])))
     return out
 
 
@@ -165,59 +191,67 @@ def _lesser_state(link: LesserLink) -> tuple:
 
 
 def _lesser_moves(atlas: KnotAtlas, state: tuple) -> list[tuple]:
+    """Rewrites of the base, then the threshold rewrites of its form.
+
+    ``vec`` is sorted and non-empty, and every move translates it by one
+    vector ``(da, db)``, which keeps it sorted.
+    """
     _, form, base, sign, p, q, vec = state
-    window = ceil_div(q, p)
-    th0, th1 = lesser_thresholds(atlas, p, q)
     out = [("lesser", form, b2, sign, p, q, vec) for b2 in legclass_moves(atlas, base)]
+    window = ceil_div(q, p)
+    th0 = p * window - q
+    th1 = p - th0
+    min_a, min_b = vec[0][0], min([b for _, b in vec])
     _, tb_b = invariants(atlas, base)
 
-    def rul(newbase, newvec):
-        return ("lesser", RULING, newbase, 0, p, q, tuple(sorted(newvec)))
+    def rul(newbase, da, db):
+        return ("lesser", RULING, newbase, 0, p, q, tuple([(a + da, b + db) for a, b in vec]))
 
-    def div(newbase, newsign, newvec):
-        return ("lesser", DIVIDE, newbase, newsign, p, q, tuple(sorted(newvec)))
+    def div(newbase, newsign, da, db):
+        return ("lesser", DIVIDE, newbase, newsign, p, q,
+                tuple([(a + da, b + db) for a, b in vec]))
 
     if form == DIVIDE:
         if sign == POS:
-            if all(b >= th0 for _, b in vec):
-                out.append(rul(base, ((a, b - th0) for a, b in vec)))
-            if all(a >= th1 for a, _ in vec):
-                out.append(rul(_raw_stab(base, POS), ((a - th1, b) for a, b in vec)))
+            if min_b >= th0:
+                out.append(rul(base, 0, -th0))
+            if min_a >= th1:
+                out.append(rul(_raw_stab(base, POS), -th1, 0))
         else:
-            if all(a >= th0 for a, _ in vec):
-                out.append(rul(base, ((a - th0, b) for a, b in vec)))
-            if all(b >= th1 for _, b in vec):
-                out.append(rul(_raw_stab(base, NEG), ((a, b - th1) for a, b in vec)))
+            if min_a >= th0:
+                out.append(rul(base, -th0, 0))
+            if min_b >= th1:
+                out.append(rul(_raw_stab(base, NEG), 0, -th1))
         return out
     # ruling form
     if tb_b == window:
-        out.append(div(base, POS, ((a, b + th0) for a, b in vec)))
-        out.append(div(base, NEG, ((a + th0, b) for a, b in vec)))
-        if all(a >= th1 for a, _ in vec):
-            out.append(rul(_raw_stab(base, POS), ((a - th1, b + th0) for a, b in vec)))
-        if all(b >= th1 for _, b in vec):
-            out.append(rul(_raw_stab(base, NEG), ((a + th0, b - th1) for a, b in vec)))
+        out.append(div(base, POS, 0, th0))
+        out.append(div(base, NEG, th0, 0))
+        if min_a >= th1:
+            out.append(rul(_raw_stab(base, POS), -th1, th0))
+        if min_b >= th1:
+            out.append(rul(_raw_stab(base, NEG), th0, -th1))
     else:
-        if all(a >= p for a, _ in vec):
-            out.append(rul(_raw_stab(base, POS), ((a - p, b) for a, b in vec)))
-        if all(b >= p for _, b in vec):
-            out.append(rul(_raw_stab(base, NEG), ((a, b - p) for a, b in vec)))
+        if min_a >= p:
+            out.append(rul(_raw_stab(base, POS), -p, 0))
+        if min_b >= p:
+            out.append(rul(_raw_stab(base, NEG), 0, -p))
+        # a destabilization sits one tb above the base
+        at_window = tb_b + 1 == window
         for x in _raw_destabs(atlas, base, POS):
-            _, tb_x = invariants(atlas, x)
-            if tb_x == window:
-                out.append(div(x, POS, ((a + th1, b) for a, b in vec)))
-                if all(b >= th0 for _, b in vec):
-                    out.append(rul(x, ((a + th1, b - th0) for a, b in vec)))
+            if at_window:
+                out.append(div(x, POS, th1, 0))
+                if min_b >= th0:
+                    out.append(rul(x, th1, -th0))
             else:
-                out.append(rul(x, ((a + p, b) for a, b in vec)))
+                out.append(rul(x, p, 0))
         for x in _raw_destabs(atlas, base, NEG):
-            _, tb_x = invariants(atlas, x)
-            if tb_x == window:
-                out.append(div(x, NEG, ((a, b + th1) for a, b in vec)))
-                if all(a >= th0 for a, _ in vec):
-                    out.append(rul(x, ((a - th0, b + th1) for a, b in vec)))
+            if at_window:
+                out.append(div(x, NEG, 0, th1))
+                if min_a >= th0:
+                    out.append(rul(x, -th0, th1))
             else:
-                out.append(rul(x, ((a, b + p) for a, b in vec)))
+                out.append(rul(x, 0, p))
     return out
 
 

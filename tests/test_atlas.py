@@ -47,7 +47,7 @@ from legcable.errors import (
 )
 from legcable.links import GreaterLink, IntegerLink, LesserLink, Verdict
 from legcable.mountain import MAX_ROWS, MountainRange, tally
-from legcable.oracle import ConfluenceReport, SearchBudget
+from legcable.oracle import ConfluenceReport, SearchBudget, closure_equal, legclass_moves
 from legcable.render import Overlay
 from legcable.selfcheck import CheckResult
 
@@ -941,14 +941,28 @@ def test_links_of_different_types_are_never_equal():
 
 def test_atlas_replace_rebuilds_indexes_and_starts_an_empty_table():
     atlas = builtin_atlas("twist-even-2")
+    shown = repr(atlas)
+    assert (atlas._moves, atlas._rules_by_dst) == ({}, None)
     atlas_module.destabilizations(atlas, Named("R1"), POS)
     assert atlas._destabs
+    assert closure_equal(atlas, Named("P1", 1, 1), Generic(0, -1)).is_isotopic
+    assert atlas._moves and atlas._rules_by_dst is not None
+    assert all(isinstance(c, (Named, Generic)) for c in atlas._moves)
+    # full tables change neither equality, repr nor the document
+    assert atlas == builtin_atlas("twist-even-2") and repr(atlas) == shown
+    assert make_atlas(atlas_to_json(atlas)) == atlas
     copy = atlas.replace()
     assert copy == atlas and copy is not atlas and copy._destabs == {}
+    assert (copy._moves, copy._rules_by_dst) == ({}, None)
     renamed = atlas.replace(name="other", rules=atlas.rules[:1])
     assert (renamed.name, renamed.rules) == ("other", atlas.rules[:1])
     assert renamed.rules_for("P1") == list(atlas.rules[:1]) and renamed.rules_for("P2") == []
     assert renamed.generators == atlas.generators and atlas.name == "twist-even-2"
+    # the copy's moves come from its own rules, not from the full index
+    assert legclass_moves(atlas, Named("R1")) == (Named("P1", 1, 0), Named("P2", 1, 0))
+    assert legclass_moves(renamed, Named("R1")) == (Named("P1", 1, 0),)
+    assert legclass_moves(atlas, Generic(0, -1)) == (Named("R1", 0, 1), Named("L1", 1, 0))
+    assert legclass_moves(renamed, Generic(0, -1)) == ()
     with pytest.raises(TypeError):
         atlas.replace(colour="red")
 

@@ -88,6 +88,13 @@ def test_isotopic_unknown_exits_one(capsys):
     assert doc["verdict"] == "unknown" and doc["reason"]
 
 
+def test_overlong_atlas_value_is_neither_builtin_nor_file(capsys):
+    # longer than any file name, so asking whether it is a file fails
+    code, out, err = run_cli(capsys, "peaks", "--atlas", "twist-even-" + "9" * 5000)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "neither a builtin atlas" in err and "Errno" not in err
+
+
 def test_validation_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isotopic", "--atlas", "no-such-atlas", GREATER_A, GREATER_B)
     assert code == EXIT_USAGE and "error" in err

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legcable import (
+    DIVIDE,
     Generic,
     NEG,
     Named,
     POS,
+    RULING,
     SearchBudget,
     Verdict,
     brute_cable_mountain_range,
@@ -308,9 +310,10 @@ def _shallow_vec(rng, n, top=3):
     return tuple((rng.randint(0, top), rng.randint(0, top)) for _ in range(n))
 
 
-def sampled_link_pairs(atlas, regime, rng, count):
+def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
     """``count`` pairs of one regime: every third a twin presentation of one
-    link, the others two independent draws."""
+    link, the others two independent draws.  Greater links take the slope
+    (p, p * width_ceiling + offset), lesser ones (p, p * tbb - offset)."""
     classes = [c for tb in range(atlas.tbb, atlas.tbb - 3, -1) for c in classes_at_tb(atlas, tb)]
     pairs = []
     while len(pairs) < count:
@@ -318,7 +321,7 @@ def sampled_link_pairs(atlas, regime, rng, count):
         twin = len(pairs) % 3 == 0
         try:
             if regime == "greater":
-                p, q = (2, 2 * atlas.width_ceiling + 1)
+                q = p * atlas.width_ceiling + offset
                 u, vec = rng.choice(classes), _shallow_vec(rng, n)
                 if twin:
                     pairs.append((
@@ -348,7 +351,7 @@ def sampled_link_pairs(atlas, regime, rng, count):
                     pairs.append((first, make_integer_link(atlas, L2, n, t2,
                                                            _shallow_vec(rng, n, 2))))
             else:
-                p, q = (2, 2 * atlas.tbb - 1)
+                q = p * atlas.tbb - offset
                 window = window_classes(atlas, p, q)
                 th0, _ = lesser_thresholds(atlas, p, q)
                 w, vec = rng.choice(window), _shallow_vec(rng, n)
@@ -420,3 +423,164 @@ def test_greater_twin_search_stops_at_its_partner(monkeypatch):
     assert verdict.reason == "rewrite path found"
     assert len(verdict.witness["path"]) == 3
     assert len(calls) <= 4
+
+
+# ---------------------------------------------------------------------------
+# The move functions against the scanning, sorting moves they replaced
+
+
+def reference_legclass_moves(atlas, c):
+    """Forward steps, then the rules that target ``c``, found by a scan."""
+    if isinstance(c, Named):
+        return oracle_module._forward_steps(atlas, c) + [
+            Named(rule.src, c.plus + rule.da, c.minus + rule.db)
+            for rule in atlas.rules
+            if rule.dst == c.gen
+        ]
+    out = []
+    for rule in atlas.rules:
+        if rule.dst is None:
+            ab = oracle_module._counts_at(atlas.generator(rule.src), c.rot, c.tb)
+            if ab is not None and ab[0] >= rule.da and ab[1] >= rule.db:
+                out.append(Named(rule.src, *ab))
+    return out
+
+
+def reference_greater_moves(atlas, state):
+    raw_stab, raw_destabs = oracle_module._raw_stab, oracle_module._raw_destabs
+    _, u, p, q, vec = state
+    out = [("greater", u2, p, q, vec) for u2 in reference_legclass_moves(atlas, u)]
+    if all(a >= p for a, _ in vec):
+        pushed = tuple(sorted((a - p, b) for a, b in vec))
+        out.append(("greater", raw_stab(u, POS), p, q, pushed))
+    if all(b >= p for _, b in vec):
+        pushed = tuple(sorted((a, b - p) for a, b in vec))
+        out.append(("greater", raw_stab(u, NEG), p, q, pushed))
+    lifted_a = tuple(sorted((a + p, b) for a, b in vec))
+    for x in raw_destabs(atlas, u, POS):
+        out.append(("greater", x, p, q, lifted_a))
+    lifted_b = tuple(sorted((a, b + p) for a, b in vec))
+    for x in raw_destabs(atlas, u, NEG):
+        out.append(("greater", x, p, q, lifted_b))
+    return out
+
+
+def reference_lesser_moves(atlas, state):
+    raw_stab, raw_destabs = oracle_module._raw_stab, oracle_module._raw_destabs
+    _, form, base, sign, p, q, vec = state
+    window = oracle_module.ceil_div(q, p)
+    th0, th1 = lesser_thresholds(atlas, p, q)
+    out = [("lesser", form, b2, sign, p, q, vec)
+           for b2 in reference_legclass_moves(atlas, base)]
+    _, tb_b = invariants(atlas, base)
+
+    def rul(newbase, newvec):
+        return ("lesser", RULING, newbase, 0, p, q, tuple(sorted(newvec)))
+
+    def div(newbase, newsign, newvec):
+        return ("lesser", DIVIDE, newbase, newsign, p, q, tuple(sorted(newvec)))
+
+    if form == DIVIDE:
+        if sign == POS:
+            if all(b >= th0 for _, b in vec):
+                out.append(rul(base, ((a, b - th0) for a, b in vec)))
+            if all(a >= th1 for a, _ in vec):
+                out.append(rul(raw_stab(base, POS), ((a - th1, b) for a, b in vec)))
+        else:
+            if all(a >= th0 for a, _ in vec):
+                out.append(rul(base, ((a - th0, b) for a, b in vec)))
+            if all(b >= th1 for _, b in vec):
+                out.append(rul(raw_stab(base, NEG), ((a, b - th1) for a, b in vec)))
+        return out
+    if tb_b == window:
+        out.append(div(base, POS, ((a, b + th0) for a, b in vec)))
+        out.append(div(base, NEG, ((a + th0, b) for a, b in vec)))
+        if all(a >= th1 for a, _ in vec):
+            out.append(rul(raw_stab(base, POS), ((a - th1, b + th0) for a, b in vec)))
+        if all(b >= th1 for _, b in vec):
+            out.append(rul(raw_stab(base, NEG), ((a + th0, b - th1) for a, b in vec)))
+    else:
+        if all(a >= p for a, _ in vec):
+            out.append(rul(raw_stab(base, POS), ((a - p, b) for a, b in vec)))
+        if all(b >= p for _, b in vec):
+            out.append(rul(raw_stab(base, NEG), ((a, b - p) for a, b in vec)))
+        for x in raw_destabs(atlas, base, POS):
+            _, tb_x = invariants(atlas, x)
+            if tb_x == window:
+                out.append(div(x, POS, ((a + th1, b) for a, b in vec)))
+                if all(b >= th0 for _, b in vec):
+                    out.append(rul(x, ((a + th1, b - th0) for a, b in vec)))
+            else:
+                out.append(rul(x, ((a + p, b) for a, b in vec)))
+        for x in raw_destabs(atlas, base, NEG):
+            _, tb_x = invariants(atlas, x)
+            if tb_x == window:
+                out.append(div(x, NEG, ((a, b + th1) for a, b in vec)))
+                if all(a >= th0 for a, _ in vec):
+                    out.append(rul(x, ((a - th0, b + th1) for a, b in vec)))
+            else:
+                out.append(rul(x, ((a, b + p) for a, b in vec)))
+    return out
+
+
+REFERENCE_MOVES = {
+    oracle_module.legclass_moves: reference_legclass_moves,
+    oracle_module._greater_moves: reference_greater_moves,
+    oracle_module._lesser_moves: reference_lesser_moves,
+}
+
+
+def assert_moves_match_references(atlas, objects):
+    """Every state of the full orbit of each object has the reference's
+    moves, in order, from a cold table and from a warm one; and the orbits
+    themselves, parents and order included, are the reference's."""
+    warm = atlas.replace()
+    checked = 0
+    for obj in objects:
+        state, moves, _, _ = oracle_module._dispatch(atlas, obj)
+        reference = REFERENCE_MOVES[moves]
+        orbit, complete = full_orbit(atlas, state, reference, SearchBudget())
+        assert complete
+        assert list(full_orbit(warm, state, moves, SearchBudget())[0].items()) == list(
+            orbit.items())
+        for s in orbit:
+            want = reference(atlas, s)
+            assert list(moves(atlas.replace(), s)) == want, s
+            assert list(moves(warm, s)) == want, s
+        checked += len(orbit)
+    assert warm._moves and all(isinstance(c, (Named, Generic)) for c in warm._moves)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "name", ["unknot", "k-minus-5", "twist-even-2", "twist-even-3", "twist-even-2-surgery"])
+def test_class_moves_match_the_scanning_reference(name):
+    atlas = builtin_atlas(name)
+    pool = bounded_classes(atlas)
+    assert assert_moves_match_references(atlas, pool + [Generic(*invariants(atlas, c))
+                                                        for c in pool])
+
+
+@pytest.mark.parametrize("regime, name", [
+    ("greater", "unknot"), ("greater", "k-minus-5"), ("greater", "twist-even-2"),
+    ("greater", "twist-even-3"), ("greater", "twist-even-2-surgery"),
+    ("lesser", "k-minus-5"), ("lesser", "twist-even-2"), ("lesser", "twist-even-3"),
+    ("lesser", "twist-even-2-surgery"),
+])
+@pytest.mark.parametrize("p, offset", [(2, 1), (3, 1), (3, 2)])
+def test_link_moves_match_the_sorting_reference(regime, name, p, offset):
+    # with p = 3 the lesser thresholds differ: (1, 2) at offset 1, (2, 1) at 2
+    atlas = builtin_atlas(name)
+    pairs = sampled_link_pairs(atlas, regime, random.Random(f"{regime}-{name}"), 24, p, offset)
+    assert assert_moves_match_references(atlas, [obj for pair in pairs for obj in pair])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_atlases(), st.data())
+def test_class_moves_match_the_scanning_reference_on_random_atlases(atlas, data):
+    named = bounded_classes(atlas)
+    generic = st.builds(Generic, st.integers(-4, 4), st.integers(atlas.tbb - 4, atlas.tbb))
+    pool = st.one_of(st.sampled_from(named + [Generic(*invariants(atlas, c)) for c in named]),
+                     generic)
+    classes = data.draw(st.lists(pool, min_size=1, max_size=6))
+    assert_moves_match_references(atlas, classes)
