@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     DOCUMENT_ERRORS,
@@ -65,7 +65,7 @@ from .errors import (
     checked,
     malformed,
 )
-from .mountain import MountainRange, check_cutoff, check_rows
+from .mountain import MountainRange, check_cutoff, check_rows, tally
 from .render import json_array
 
 POS = 1
@@ -572,17 +572,19 @@ def _named_label(name: str, plus: int, minus: int) -> str:
     return f"{name}+{plus}-{minus}"
 
 
-def _stab_counts_for(g: Generator, rot: int, tb: int) -> Optional[tuple[int, int]]:
-    """The unique (a, b) with Named(g, a, b) at (rot, tb), if it exists."""
-    total = g.tb - tb
-    diff = rot - g.rot
-    if total < 0 or (total + diff) % 2 != 0:
-        return None
-    a = (total + diff) // 2
-    b = (total - diff) // 2
-    if a < 0 or b < 0:
-        return None
-    return a, b
+def _forms_at(atlas: KnotAtlas, rot: int, tb: int) -> Iterator[LegClass]:
+    """The normal form of each generator's stabilization at (rot, tb), in
+    generator order: Named(g, a, b) with a + b = tb(g) - tb and a - b =
+    rot - rot(g), for each generator where a, b >= 0 solve both."""
+    for g in atlas.generators:
+        total, diff = g.tb - tb, rot - g.rot
+        if total >= abs(diff) and (total + diff) % 2 == 0:
+            yield normalize(atlas, Named(g.id, (total + diff) // 2, (total - diff) // 2))
+
+
+def _distinct(atlas: KnotAtlas, forms: Iterable[LegClass]) -> list[LegClass]:
+    """The distinct normal forms among ``forms``, sorted by ``class_key``."""
+    return sorted(set(forms), key=lambda c: class_key(atlas, c))
 
 
 def classes_at_tb(atlas: KnotAtlas, tb: int) -> list[LegClass]:
@@ -592,15 +594,11 @@ def classes_at_tb(atlas: KnotAtlas, tb: int) -> list[LegClass]:
     may lie at most MAX_ROWS - 1 rows below the peak row.
     """
     check_rows(atlas.tbb, tb)
-    found = {}
-    for g in atlas.generators:
-        total = g.tb - tb
-        if total < 0:
-            continue
-        for a in range(total + 1):
-            nf = normalize(atlas, Named(g.id, a, total - a))
-            found[class_key(atlas, nf)] = nf
-    return [found[k] for k in sorted(found)]
+    return _distinct(atlas, (
+        normalize(atlas, Named(g.id, a, g.tb - tb - a))
+        for g in atlas.generators
+        for a in range(g.tb - tb + 1)
+    ))
 
 
 def class_rows(
@@ -652,28 +650,15 @@ def class_rows(
 
 
 def classes_at(atlas: KnotAtlas, rot: int, tb: int) -> list[LegClass]:
-    """All distinct classes of the atlas at one lattice point, sorted."""
-    found = {}
-    for g in atlas.generators:
-        ab = _stab_counts_for(g, rot, tb)
-        if ab is None:
-            continue
-        nf = normalize(atlas, Named(g.id, *ab))
-        found[class_key(atlas, nf)] = nf
-    return [found[k] for k in sorted(found)]
+    """All distinct classes of the atlas at one lattice point, sorted: the
+    normal forms of the generators' stabilizations there."""
+    return _distinct(atlas, _forms_at(atlas, rot, tb))
 
 
 def holds(atlas: KnotAtlas, c: Generic) -> bool:
     """Whether ``c`` is in ``classes_at`` its lattice point: some generator's
     stabilization there normalizes to it.  Stops at the first that does."""
-    rot, tb = c
-    for g in atlas.generators:
-        total, diff = g.tb - tb, rot - g.rot  # _stab_counts_for, inlined
-        if total >= abs(diff) and (total + diff) % 2 == 0 and normalize(
-            atlas, Named(g.id, (total + diff) // 2, (total - diff) // 2)
-        ) == c:
-            return True
-    return False
+    return c in _forms_at(atlas, c.rot, c.tb)
 
 
 def peaks(atlas: KnotAtlas) -> list[Generator]:
@@ -685,34 +670,24 @@ def peaks(atlas: KnotAtlas) -> list[Generator]:
 def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
     """Multiplicities of distinct classes per (rot, tb) down to tb_min.
 
-    Counted straight from ``class_rows``: the labels of a point keep row
-    order, and the range is truncated exactly when the cutoff row is
-    occupied, as ``mountain.tally`` would have it.
+    The classes of ``class_rows`` go to ``mountain.tally`` with their points
+    and labels, in row order, so the labels of a point keep generator order
+    (P1, P2, ..., P10, not string order), and the range is truncated exactly
+    when its cutoff row is occupied.
     """
     check_cutoff(tb_min, atlas.tbb)
     by_id = atlas._by_id
-    labels: dict[tuple[int, int], list[str]] = {}
-    rows = class_rows(atlas, tb_min)
-    for tb, row in rows:
-        for c in row:
-            if isinstance(c, Named):
-                g = by_id[c.gen]
-                point = (g.rot + c.plus - c.minus, tb)
-                label = _named_label(g.name, c.plus, c.minus)
-            else:
-                point = (c.rot, tb)
-                label = f"({c.rot},{tb})"
-            names = labels.get(point)
-            if names is None:
-                labels[point] = [label]
-            else:
-                names.append(label)
-    return MountainRange(
-        entries={pt: len(names) for pt, names in labels.items()},
-        tb_min=tb_min,
-        labels={pt: tuple(names) for pt, names in labels.items()},
-        truncated=bool(rows[-1][1]),
-    )
+
+    def labelled():
+        for tb, row in class_rows(atlas, tb_min):
+            for c in row:
+                if isinstance(c, Named):
+                    g = by_id[c.gen]
+                    yield (g.rot + c.plus - c.minus, tb), _named_label(g.name, c.plus, c.minus)
+                else:
+                    yield (c.rot, tb), f"({c.rot},{tb})"
+
+    return tally(labelled(), tb_min)
 
 
 def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]:

@@ -62,8 +62,11 @@ def load_atlas(spec: str):
             raise
         exists = False
     if not exists:
+        shown = repr(spec)
+        if len(shown) > 80:
+            shown = shown[:80] + "..."  # a long value shows only its start
         raise UnsupportedKind(
-            f"{spec!r} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
+            f"{shown} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
             f"twist-even-N[-surgery] for 2 <= N <= {MAX_TWIST_EVEN}) nor an atlas JSON file"
         )
     return make_atlas(_read_json(path.read_text(), "atlas document"))

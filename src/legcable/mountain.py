@@ -103,13 +103,20 @@ def from_counts(
 def tally(labelled: Iterable[tuple[Point, str]], tb_min: int) -> MountainRange:
     """Count labelled (rot, tb) points at or above ``tb_min`` into a range.
 
-    Each pair is one class at one point.  The labels of a point keep the
-    order they arrive in; pass the pairs sorted to sort them.
+    Each pair is one class at one point, and the labels of a point keep the
+    order the pairs arrive in.  Three ranges count here: ``atlas.mountain_range``
+    passes its classes in row order, so a point's labels keep generator order,
+    and ``cables.cable_mountain_range`` and ``cables.lesser_mountain_range``
+    pass their pairs sorted.
     """
     names: dict[Point, list[str]] = {}
     for point, label in labelled:
         if point[1] >= tb_min:
-            names.setdefault(point, []).append(label)
+            found = names.get(point)
+            if found is None:
+                names[point] = [label]
+            else:
+                found.append(label)
     return from_counts(
         {pt: len(ls) for pt, ls in names.items()},
         tb_min,

@@ -611,6 +611,93 @@ def test_holds_is_membership_in_classes_at(atlas):
             assert atlas_module.holds(atlas, c) == (c in atlas_module.classes_at(atlas, rot, tb))
 
 
+def reference_stab_counts_for(g, rot, tb):
+    """The unique (a, b) with Named(g, a, b) at (rot, tb), if it exists."""
+    total = g.tb - tb
+    diff = rot - g.rot
+    if total < 0 or (total + diff) % 2 != 0:
+        return None
+    a = (total + diff) // 2
+    b = (total - diff) // 2
+    if a < 0 or b < 0:
+        return None
+    return a, b
+
+
+def reference_classes_at(atlas, rot, tb):
+    """One normal form per ``class_key``, from each generator that reaches (rot, tb)."""
+    found = {}
+    for g in atlas.generators:
+        ab = reference_stab_counts_for(g, rot, tb)
+        if ab is None:
+            continue
+        nf = normalize(atlas, Named(g.id, *ab))
+        found[atlas_module.class_key(atlas, nf)] = nf
+    return [found[k] for k in sorted(found)]
+
+
+def reference_classes_at_tb(atlas, tb):
+    """One normal form per ``class_key``, from every stabilization down to ``tb``."""
+    found = {}
+    for g in atlas.generators:
+        total = g.tb - tb
+        if total < 0:
+            continue
+        for a in range(total + 1):
+            nf = normalize(atlas, Named(g.id, a, total - a))
+            found[atlas_module.class_key(atlas, nf)] = nf
+    return [found[k] for k in sorted(found)]
+
+
+def assert_same_classes(got, want):
+    # a Generic also equals its bare (rot, tb) tuple, so compare the types too
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def assert_point_queries_match_references(atlas, depth):
+    """Rows and points from two rows above the peak row down to ``depth``
+    below it, both parities, and rots past every generator's cone."""
+    rots = [g.rot for g in atlas.generators]
+    for tb in range(atlas.tbb + 2, atlas.tbb - depth - 1, -1):
+        assert_same_classes(classes_at_tb(atlas, tb), reference_classes_at_tb(atlas, tb))
+        for rot in range(min(rots) - depth - 3, max(rots) + depth + 4):
+            want = reference_classes_at(atlas, rot, tb)
+            assert_same_classes(atlas_module.classes_at(atlas, rot, tb), want)
+            assert atlas_module.holds(atlas, Generic(rot, tb)) == (Generic(rot, tb) in want)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("unknot", 12), ("k-minus-5", 12), ("twist-even-2", 12), ("twist-even-3", 10),
+    ("twist-even-4", 8), ("twist-even-8", 6), ("twist-even-16", 4),
+    ("twist-even-2-surgery", 12),
+])
+def test_point_and_row_queries_match_references_on_builtins(name, depth):
+    assert_point_queries_match_references(builtin_atlas(name), depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_atlases())
+def test_point_and_row_queries_match_references_on_random_atlases(atlas):
+    # neither query needs confluence, so non-confluent draws stay in
+    assert_point_queries_match_references(atlas, 6)
+
+
+def test_point_queries_normalize_once_per_generator_that_reaches_the_point(monkeypatch):
+    atlas = builtin_atlas("twist-even-16")  # 128 peaks at (0, 1), 8 + 8 edge bases at (±1, 0)
+    calls = count_normalize(monkeypatch)
+    # the first peak's stabilization P1+1-1 normalizes to the class held
+    assert atlas_module.holds(atlas, Generic(0, -1))
+    assert calls == [Named("P1", 1, 1)]
+    calls.clear()
+    # the peaks and the right-edge bases reach (2, -1); the left-edge ones do not
+    assert len(atlas_module.classes_at(atlas, 2, -1)) == 8
+    assert len(calls) == 128 + 8
+    calls.clear()
+    assert not atlas_module.holds(atlas, Generic(2, -1))
+    assert len(calls) == 128 + 8
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_atlases(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7),
                                            st.integers(0, 7)), min_size=1, max_size=12))

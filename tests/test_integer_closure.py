@@ -21,6 +21,7 @@ from legcable import (
     builtin_atlas,
     class_rows,
     classes_at,
+    classes_at_tb,
     invariants,
     make_integer_link,
     normalize,
@@ -145,8 +146,10 @@ def test_integer_closure_matches_table_free_reference_on_builtins(name):
 @settings(max_examples=100, deadline=None)
 @given(small_atlases(), st.data())
 def test_integer_closure_matches_table_free_reference_on_random_atlases(atlas, data):
-    # exact with or without confluence, so non-confluent draws stay in
-    bases = [c for _, row in class_rows(atlas, atlas.tbb - 3) for c in row]
+    # exact with or without confluence, so non-confluent draws stay in; the
+    # bases are the classes of each level, which the atlas holds, since a
+    # non-confluent atlas's class_rows may reach a Generic that it does not
+    bases = [c for tb in range(atlas.tbb, atlas.tbb - 4, -1) for c in classes_at_tb(atlas, tb)]
     n = data.draw(st.integers(2, 3))
     counts = st.tuples(st.integers(0, 3), st.integers(0, 3))
     link = integer_link(
