@@ -21,17 +21,16 @@ stabilization is the Generic one lattice step down whatever the rules, so
 this is the walk that stabilizes every class of a row one at a time, and it
 gives the same rows with or without confluence.
 
-Records come in three kinds, none built by ``dataclasses``.  Named, Generic
-and RotTb are ``typing.NamedTuple``s, so hashing, comparing and building a
-class runs in C; so are the read-only records of the other modules (links,
-verdicts, search budgets, overlays, check results).  A Named never equals a
-Generic (their lengths differ), but a Generic equals the plain (rot, tb)
-tuple or ``RotTb`` with the same fields, so no set or dict may hold both
-classes and invariant pairs.  Generator and RewriteRule are read-only
-``__slots__`` records, whose fields the rule loops read faster than a named
-tuple's.  KnotAtlas and ``mountain.MountainRange`` are ``__slots__`` classes
-with a hand-written ``__init__`` that builds indexes or checks entries; they
-compare by their public fields and do not hash.
+Records come in two kinds, none built by ``dataclasses``.  Named, Generic,
+RotTb, Generator and RewriteRule are ``typing.NamedTuple``s, so hashing,
+comparing and building a record runs in C; so are the read-only records of
+the other modules (links, verdicts, search budgets, overlays, check
+results).  A Named never equals a Generic (their lengths differ), but a
+Generic equals the plain (rot, tb) tuple or ``RotTb`` with the same fields,
+so no set or dict may hold both classes and invariant pairs.  KnotAtlas and
+``mountain.MountainRange`` are ``__slots__`` classes with a hand-written
+``__init__`` that builds indexes or checks entries; they compare by their
+public fields and do not hash.
 
 Two queries have closed forms that hold with or without confluence.
 Normalization ends on its start generator or on a rule's target, so the
@@ -97,9 +96,6 @@ class Generic(NamedTuple):
 LegClass = Union[Named, Generic]
 
 
-_set = object.__setattr__
-
-
 class _Record:
     """Equality and ``repr`` over the public fields ``_FIELDS``, as a dataclass has them."""
 
@@ -119,36 +115,18 @@ class _Record:
         return f"{type(self).__qualname__}({args})"
 
 
-class _Frozen(_Record):
-    """A read-only record that hashes as the tuple of its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Generator(_Frozen):
-    __slots__ = _FIELDS = ("id", "name", "rot", "tb")
-
-    def __init__(self, id: str, name: str, rot: int, tb: int) -> None:
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "rot", rot)
-        _set(self, "tb", tb)
+class Generator(NamedTuple):
+    id: str
+    name: str
+    rot: int
+    tb: int
 
     @property
     def rot_tb(self) -> RotTb:
         return RotTb(self.rot, self.tb)
 
 
-class RewriteRule(_Frozen):
+class RewriteRule(NamedTuple):
     """Named(src, a, b) with a >= da and b >= db rewrites toward ``dst``.
 
     ``dst`` is a generator id, or None for the invariant-determined Generic
@@ -156,13 +134,10 @@ class RewriteRule(_Frozen):
     drop) is enforced at atlas construction.
     """
 
-    __slots__ = _FIELDS = ("src", "da", "db", "dst")
-
-    def __init__(self, src: str, da: int, db: int, dst: Optional[str]) -> None:
-        _set(self, "src", src)
-        _set(self, "da", da)
-        _set(self, "db", db)
-        _set(self, "dst", dst)
+    src: str
+    da: int
+    db: int
+    dst: Optional[str]
 
 
 class KnotAtlas(_Record):
@@ -708,6 +683,50 @@ def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]
                 if stabilize(atlas, cand, sign, 1) == c
             )
     return list(found)
+
+
+# ---------------------------------------------------------------------------
+# Breadth-first search: the one loop behind links.integer_closure,
+# oracle.closure_equal and the oracle's brute_* ranges
+
+
+class SearchBudget(NamedTuple):
+    """Caps for closure searches; exceeding them yields Unknown, never a guess."""
+
+    depth: int = 64
+    node_cap: int = 50000
+
+
+def orbit(atlas: KnotAtlas, state, moves, budget: SearchBudget, stop=()):
+    """(parents map, fully-explored flag, first state met in ``stop`` or None).
+
+    The search ends at the first state it discovers that lies in ``stop``
+    (at once if ``state`` does), with the flag False; up to that state it
+    discovers the same states in the same order, with the same parents, as
+    the search without ``stop``.
+    """
+    parents = {state: None}
+    if state in stop:
+        return parents, False, state
+    frontier = [state]
+    complete = True
+    for _ in range(budget.depth):
+        if not frontier:
+            break
+        nxt = []
+        for s in frontier:
+            for m in moves(atlas, s):
+                if m in parents:
+                    continue
+                if len(parents) >= budget.node_cap:
+                    complete = False
+                    continue
+                parents[m] = s
+                if m in stop:
+                    return parents, False, m
+                nxt.append(m)
+        frontier = nxt
+    return parents, complete and not frontier, None
 
 
 # ---------------------------------------------------------------------------

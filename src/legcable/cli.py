@@ -30,7 +30,7 @@ from .atlas import (
     peaks,
 )
 from .cables import Regime, cable_mountain_range, lesser_mountain_range, regime
-from .errors import EngineError, MalformedDocument, UnsupportedKind
+from .errors import EngineError, MalformedDocument, UnsupportedKind, WrongRegime
 from .links import (
     component_invariants,
     componentwise_isotopic,
@@ -232,13 +232,10 @@ def _dispatch(args) -> int:
         elif reg is Regime.NONINTEGER_LESSER:
             mr = lesser_mountain_range(atlas, args.p, args.q, args.tb_min)
         else:
-            print(
-                f"error: slope ({args.p},{args.q}) is {reg.value}; ranges are "
-                "drawn for greater and non-integer lesser slopes (use "
-                "'enumerate' for integer slopes)",
-                file=sys.stderr,
+            raise WrongRegime(
+                f"slope ({args.p},{args.q}) is {reg.value}; ranges are drawn for greater "
+                "and non-integer lesser slopes (use 'enumerate' for integer slopes)"
             )
-            return EXIT_USAGE
         overlays = None
         if args.overlay and 0 < args.q < args.p:
             overlays = ifsurg_overlay(args.p, args.q, args.tb_min)

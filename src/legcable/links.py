@@ -52,6 +52,7 @@ from .atlas import (
     NEG,
     POS,
     RotTb,
+    SearchBudget,
     ceil_div,
     check_stabilization,
     class_from_json,
@@ -63,6 +64,7 @@ from .atlas import (
     invariants,
     is_equal,
     normalize,
+    orbit,
     peaks,
     stabilize,
 )
@@ -563,24 +565,14 @@ def integer_moves(atlas, state: IntState) -> list[IntState]:
 
 
 def integer_closure(atlas, link: IntegerLink, node_cap: int = 4000) -> tuple[frozenset, bool]:
-    """All presentations of the link; the flag reports full exploration."""
+    """All presentations of the link, at most ``max(node_cap, 1)`` of them;
+    the flag reports full exploration.  The search is ``atlas.orbit`` over
+    ``integer_moves``, breadth-first from the link's own presentation."""
     start = int_state(atlas, link.L, link.t, link.vec)
-    seen = {start}
-    frontier = [start]
-    complete = True
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for m in integer_moves(atlas, s):
-                if m in seen:
-                    continue
-                if len(seen) >= node_cap:
-                    complete = False
-                    continue
-                seen.add(m)
-                nxt.append(m)
-        frontier = nxt
-    return frozenset(seen), complete
+    # the depth never binds: each level that leaves a frontier adds a state, and states <= depth
+    depth = max(node_cap, 1)
+    parents, complete, _ = orbit(atlas, start, integer_moves, SearchBudget(depth, node_cap))
+    return frozenset(parents), complete
 
 
 def _pattern_tags(vec: StabVec) -> set[str]:

@@ -14,16 +14,17 @@ differ).  Integer and lesser pairs whose distinctness rests on the
 classification's side conditions come back Unknown: the oracle never
 overclaims, since it is the trust anchor.
 
-The two searches stop where they meet.  The first stops when it discovers
-the second start state (at once when the starts are equal), and the second
-stops at the first state already in the first orbit.  Neither stop can
-change a verdict: a breadth-first search under the same budget discovers
-the same states in the same order, with the same parents, up to any given
-state, so the path to the second start (the witness) is the one the full
-search records, and the second orbit meets the first within the budget
-exactly when the full second orbit intersects it.  The searches that run
-to the end -- every disjoint and every budget-cut verdict -- are the full
-searches.
+Both searches run ``atlas.orbit``, the breadth-first loop that the
+decider's ``integer_closure`` runs too, and they stop where they meet.  The
+first stops when it discovers the second start state (at once when the
+starts are equal), and the second stops at the first state already in the
+first orbit.  Neither stop can change a verdict: a breadth-first search
+under the same budget discovers the same states in the same order, with the
+same parents, up to any given state, so the path to the second start (the
+witness) is the one the full search records, and the second orbit meets the
+first within the budget exactly when the full second orbit intersects it.
+The searches that run to the end -- every disjoint and every budget-cut
+verdict -- are the full searches.
 
 Each move costs its answer.  ``legclass_moves`` answers a class once per
 atlas, from the table ``atlas._moves`` (class -> its one-step rewrites),
@@ -55,9 +56,11 @@ from .atlas import (
     Named,
     NEG,
     POS,
+    SearchBudget,
     ceil_div,
     class_label,
     invariants,
+    orbit,
     peaks,
 )
 from .cables import window_classes
@@ -74,13 +77,6 @@ from .links import (
     integer_moves,
 )
 from .mountain import MountainRange, from_counts
-
-
-class SearchBudget(NamedTuple):
-    """Caps for closure searches; exceeding them yields Unknown, never a guess."""
-
-    depth: int = 64
-    node_cap: int = 50000
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +269,6 @@ def _dispatch(atlas, obj):
     raise KindMismatch(f"cannot search over {type(obj).__name__}")
 
 
-def _orbit(atlas, state, moves, budget: SearchBudget, stop=()):
-    """(parents map, fully-explored flag, first state met in ``stop`` or None).
-
-    The search ends at the first state it discovers that lies in ``stop``
-    (at once if ``state`` does), with the flag False; up to that state it
-    discovers the same states in the same order, with the same parents, as
-    the search without ``stop``.
-    """
-    parents = {state: None}
-    if state in stop:
-        return parents, False, state
-    frontier = [state]
-    complete = True
-    for _ in range(budget.depth):
-        if not frontier:
-            break
-        nxt = []
-        for s in frontier:
-            for m in moves(atlas, s):
-                if m in parents:
-                    continue
-                if len(parents) >= budget.node_cap:
-                    complete = False
-                    continue
-                parents[m] = s
-                if m in stop:
-                    return parents, False, m
-                nxt.append(m)
-        frontier = nxt
-    return parents, complete and not frontier, None
-
-
 def _path(parents, state) -> list:
     out = []
     while state is not None:
@@ -337,11 +301,11 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
     s2, moves2, kind2, sig2 = _dispatch(atlas, obj2)
     if kind1 != kind2 or sig1 != sig2:
         raise KindMismatch(f"{kind1}{sig1} vs {kind2}{sig2}")
-    orbit1, ok1, met = _orbit(atlas, s1, moves1, budget, stop={s2})
+    orbit1, ok1, met = orbit(atlas, s1, moves1, budget, stop={s2})
     if met is not None:
         path = [_state_label(s) for s in _path(orbit1, s2)]
         return Verdict.yes("rewrite path found", {"path": path})
-    orbit2, ok2, met = _orbit(atlas, s2, moves2, budget, stop=orbit1)
+    orbit2, ok2, met = orbit(atlas, s2, moves2, budget, stop=orbit1)
     if met is not None:
         return Verdict.yes("orbits intersect")
     if not ok1 or not ok2:
@@ -365,8 +329,6 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
 
 
 def _inv_key(atlas, obj) -> tuple:
-    if isinstance(obj, (Named, Generic)):
-        return tuple(invariants(atlas, obj))
     return tuple(sorted(component_invariants(atlas, obj)))
 
 
@@ -424,10 +386,10 @@ def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> Moun
         seen: set = set()
         for pres in presentations:
             if pres not in seen:
-                orbit, complete, _ = _orbit(atlas, pres, moves, budget)
+                states, complete, _ = orbit(atlas, pres, moves, budget)
                 if not complete:
                     raise BudgetExceeded("orbit search exceeded the budget")
-                seen.update(orbit)
+                seen.update(states)
                 entries[point] += 1
     return from_counts(entries, tb_min)
 

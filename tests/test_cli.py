@@ -153,6 +153,7 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         ("selfcheck", "--samples", "-1"),
         ("isotopic", "--atlas", "twist-even-2", "--budget", "0", *INTEGER_TWIN),
         ("isotopic", "--atlas", "twist-even-2", "--budget", "-3", *INTEGER_TWIN),
+        ("isotopic", "--atlas", "twist-even-2", "--budget", "abc", *INTEGER_TWIN),
     ):
         code, out, err = run_cli(capsys, *args)
         assert code == EXIT_USAGE and out == "" and "positive integer" in err, args
@@ -171,6 +172,49 @@ FIELDS = ("regime", "p", "q", "n", "t", "base", "class", "gen", "plus", "minus",
           "form", "vec")
 SCALARS = (None, True, False, -3, -1, 0, 1, 2, 3, 10**9, 0.5, 1e999, "", "A", "R1", "+",
            "-", "greater", "integer-lesser", "noninteger-lesser")
+
+
+def test_link_document_errors_name_their_check(capsys):
+    lesser = {"regime": "noninteger-lesser", "p": 2, "q": -3, "n": 2}
+    for doc, text in (
+        ({**lesser, "base": {"class": {"rot": 0, "tb": -1}, "form": "spiral"}},
+         "unknown lesser form 'spiral'"),
+        ({**lesser, "base": {"class": {"gen": "P1"}, "form": "ruling"}},
+         "ruling-form base tb=1 above the window tb=-1"),
+        ({"regime": "integer-lesser", "q": 0, "n": 2, "base": {"class": {"gen": "P1"}, "t": 3}},
+         "base tb=1 with t=3 does not give slope q=0"),
+    ):
+        link = json.dumps(doc)
+        code, out, err = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", link, link)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {text}\n"), doc
+
+
+def test_one_negative_count_in_an_entry_exits_two(capsys):
+    docs = (
+        {"regime": "greater", "p": 2, "q": 3, "base": {"class": {"gen": "P1"}}},
+        {"regime": "integer-lesser", "q": 0, "base": {"class": {"gen": "P1"}}},
+        {"regime": "noninteger-lesser", "p": 2, "q": -3,
+         "base": {"class": {"rot": 0, "tb": -1}, "sign": "+"}},
+    )
+    for doc in docs:
+        for vec in ([[-1, 2], [0, 0]], [[2, -1], [0, 0]]):
+            link = json.dumps({**doc, "n": 2, "vec": vec})
+            code, out, err = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", link, link)
+            assert code == EXIT_USAGE and out == "" and "nonnegative" in err, link
+
+
+def test_cable_mountain_refuses_integer_and_unsupported_window_slopes(capsys):
+    for atlas, p, q, kind in (
+        ("twist-even-2", 1, 0, "integer-lesser"),
+        ("unknot", 2, -3, "unsupported-window"),
+    ):
+        code, out, err = run_cli(capsys, "cable-mountain", "--atlas", atlas,
+                                 "--p", str(p), "--q", str(q), "--tb-min", "-3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: slope ({p},{q}) is {kind}; ranges are drawn for greater and non-integer "
+            "lesser slopes (use 'enumerate' for integer slopes)\n"
+        )
 
 
 def _random_json(rng, depth=0):

@@ -126,9 +126,12 @@ def random_integer_links(atlas, rng, count, depth, top):
     return links
 
 
-def assert_closures_match(atlas, links, node_caps=(4000, 40)):
+def assert_closures_match(atlas, links, node_caps=(4000, 40, 1)):
     for link in links:
-        for cap in node_caps:
+        size = len(table_free_closure(atlas, link)[0])
+        # a cap at the closure's size, or one below it, is where a search
+        # depth tied to the cap would bind first
+        for cap in node_caps + (size, size - 1):
             got = links_module.integer_closure(atlas, link, cap)
             assert got == table_free_closure(atlas, link, cap), (link, cap)
 

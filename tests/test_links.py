@@ -50,6 +50,7 @@ from legcable.errors import (
     NotAPermutation,
     RegimeMismatch,
     WrongRegime,
+    WrongWindow,
 )
 
 
@@ -177,6 +178,25 @@ def test_link_constructors_reject_generic_classes_the_atlas_does_not_hold():
     assert make_integer_link(atlas, Generic(0, -1), 2, 1).L == Generic(0, -1)
     assert make_lesser_link(atlas, Generic(0, -1), POS, 1, 2, -3).base == Generic(0, -1)
     assert make_integer_link(atlas, Named("P1", 2, 0), 2, 1).L == Named("R1", 1, 0)
+
+
+def test_link_constructors_reject_one_negative_count_in_an_entry():
+    atlas = tw()
+    builds = (
+        lambda vec: make_greater_link(atlas, Named("P1"), 2, 2, 3, vec),
+        lambda vec: make_integer_link(atlas, Named("P1"), 2, 1, vec),
+        lambda vec: make_lesser_link(atlas, Generic(0, -1), POS, 2, 2, -3, vec),
+    )
+    for build in builds:
+        for vec in (((-1, 2), (0, 0)), ((2, -1), (0, 0))):
+            with pytest.raises(LengthMismatch, match="must be nonnegative"):
+                build(vec)
+
+
+def test_divide_form_needs_a_sign():
+    # a document cannot ask for this: make_link reads only the sign spellings
+    with pytest.raises(WrongWindow, match=r"^divide form needs sign \+1 or -1, got 0$"):
+        make_lesser_link(tw(), Named("P1"), 0, 2, 2, 1)
 
 
 # -- canonicalization ----------------------------------------------------------
