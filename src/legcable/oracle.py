@@ -7,12 +7,17 @@ presentation moves, and the lesser threshold rewrites -- operating on raw
 presentations rather than normal forms, so it is independent of the greedy
 canonicalizations it validates.
 
-Because the move sets generate the full isotopy relation only for atlas
-classes and greater links, a disjoint fully-explored pair is reported
-NotIsotopic only in those regimes (or when component invariants already
-differ).  Integer and lesser pairs whose distinctness rests on the
-classification's side conditions come back Unknown: the oracle never
-overclaims, since it is the trust anchor.
+Every move keeps a class's (rot, tb) and a link state's multiset of
+component (rot, tb) (the move-soundness tests check each move function for
+it), so two links whose multisets differ lie in disjoint orbits.
+``closure_equal`` answers them NotIsotopic ("component invariants differ")
+before any search, and searches link pairs only when the multisets agree.
+Class pairs are always searched.  Because the move sets generate the full
+isotopy relation only for atlas classes and greater links, a disjoint
+fully-explored pair is reported NotIsotopic only in those regimes (and for
+integer pairs away from the n-copy sector).  Integer and lesser pairs whose
+distinctness rests on the classification's side conditions come back
+Unknown: the oracle never overclaims, since it is the trust anchor.
 
 Both searches run ``atlas.orbit``, the breadth-first loop that the
 decider's ``integer_closure`` runs too, and they stop where they meet.  The
@@ -24,7 +29,8 @@ same parents, up to any given state, so the path to the second start (the
 witness) is the one the full search records, and the second orbit meets the
 first within the budget exactly when the full second orbit intersects it.
 The searches that run to the end -- every disjoint and every budget-cut
-verdict -- are the full searches.
+verdict -- are the full searches, and on link pairs they run only when the
+multisets agree.
 
 Each move costs its answer.  ``legclass_moves`` answers a class once per
 atlas, from the table ``atlas._moves`` (class -> its one-step rewrites),
@@ -301,6 +307,8 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
     s2, moves2, kind2, sig2 = _dispatch(atlas, obj2)
     if kind1 != kind2 or sig1 != sig2:
         raise KindMismatch(f"{kind1}{sig1} vs {kind2}{sig2}")
+    if kind1 != "class" and _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
+        return Verdict.no("component invariants differ")
     orbit1, ok1, met = orbit(atlas, s1, moves1, budget, stop={s2})
     if met is not None:
         path = [_state_label(s) for s in _path(orbit1, s2)]
@@ -312,8 +320,6 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
         return Verdict.maybe("budget exceeded before both orbits were explored")
     if kind1 in ("class", "greater-link"):
         return Verdict.no("orbits disjoint and fully explored")
-    if _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
-        return Verdict.no("component invariants differ")
     if kind1 == "integer-link":
         if not any(s[1] == 0 for s in orbit1) and not any(s[1] == 0 for s in orbit2):
             return Verdict.no(
@@ -397,14 +403,14 @@ def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> Moun
 def brute_mountain_range(
     atlas, tb_min: int, budget: SearchBudget = SearchBudget()
 ) -> MountainRange:
-    """Atlas mountain range recomputed from peak cones and rewrite closure."""
-    cones = (
-        Named(g.id, a, total - a)
+    """Atlas mountain range recomputed from peak cones and rewrite closure;
+    the cone presentation ``g+a-b`` sits at (rot(g) + a - b, tb(g) - a - b)."""
+    pairs = (
+        ((g.rot + 2 * a - total, g.tb - total), Named(g.id, a, total - a))
         for g in peaks(atlas)
         for total in range(g.tb - tb_min + 1)
         for a in range(total + 1)
     )
-    pairs = ((tuple(invariants(atlas, c)), c) for c in cones)
     return _brute_range(atlas, pairs, legclass_moves, tb_min, budget)
 
 

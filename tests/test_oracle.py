@@ -1,5 +1,6 @@
 """Rewrite-closure oracle: equality, confluence, brute-force ranges."""
 
+import inspect
 import random
 from itertools import product
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from legcable import (
     DIVIDE,
     Generic,
+    GreaterLink,
+    LesserLink,
     NEG,
     Named,
     POS,
@@ -35,7 +38,9 @@ from legcable import (
     stabilize,
     window_classes,
 )
+from legcable import links as links_module
 from legcable import oracle as oracle_module
+from legcable.cables import greater_base_invariants, lesser_base_invariants
 from legcable.errors import BudgetExceeded, KindMismatch, WrongRegime
 from test_atlas import small_atlases
 
@@ -248,9 +253,13 @@ def full_orbit(atlas, state, moves, budget):
 
 
 def full_orbit_closure_equal(atlas, obj1, obj2, budget=SearchBudget()):
-    """closure_equal with both orbits explored to the budget, then compared."""
+    """closure_equal with both orbits explored to the budget, then compared;
+    link pairs whose component invariants differ are answered unsearched."""
     s1, moves1, kind1, _ = oracle_module._dispatch(atlas, obj1)
     s2, moves2, _, _ = oracle_module._dispatch(atlas, obj2)
+    if kind1 != "class" and (oracle_module._inv_key(atlas, obj1)
+                             != oracle_module._inv_key(atlas, obj2)):
+        return Verdict.no("component invariants differ")
     orbit1, ok1 = full_orbit(atlas, s1, moves1, budget)
     if s2 in orbit1:
         path = [oracle_module._state_label(s) for s in oracle_module._path(orbit1, s2)]
@@ -262,8 +271,6 @@ def full_orbit_closure_equal(atlas, obj1, obj2, budget=SearchBudget()):
         return Verdict.maybe("budget exceeded before both orbits were explored")
     if kind1 in ("class", "greater-link"):
         return Verdict.no("orbits disjoint and fully explored")
-    if oracle_module._inv_key(atlas, obj1) != oracle_module._inv_key(atlas, obj2):
-        return Verdict.no("component invariants differ")
     if kind1 == "integer-link":
         if not any(s[1] == 0 for s in orbit1) and not any(s[1] == 0 for s in orbit2):
             return Verdict.no(
@@ -311,14 +318,27 @@ def _shallow_vec(rng, n, top=3):
 
 
 def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
-    """``count`` pairs of one regime: every third a twin presentation of one
-    link, the others two independent draws.  Greater links take the slope
-    (p, p * width_ceiling + offset), lesser ones (p, p * tbb - offset)."""
+    """``count`` pairs of one regime, in turn: a twin presentation of one
+    link, two independent draws, and two links with the same component
+    invariants over two classes at one (rot, tb).  Lesser links of the last
+    kind share their vector.  Greater and integer ones lie six pushes or
+    five untwists apart, because the classes that share a point are peaks,
+    whose orbits are too shallow for a budget to cut.  Greater links take
+    the slope (p, p * width_ceiling + offset), lesser ones (p, p * tbb -
+    offset)."""
     classes = [c for tb in range(atlas.tbb, atlas.tbb - 3, -1) for c in classes_at_tb(atlas, tb)]
+
+    def alike(pool):
+        """Two classes of ``pool`` at one (rot, tb), distinct where it has such."""
+        matched = [(x, y) for x in pool for y in pool
+                   if x != y and invariants(atlas, x) == invariants(atlas, y)]
+        return rng.choice(matched) if matched else (rng.choice(pool),) * 2
+
     pairs = []
     while len(pairs) < count:
         n = rng.randint(1, 3)
         twin = len(pairs) % 3 == 0
+        same = len(pairs) % 3 == 2
         try:
             if regime == "greater":
                 q = p * atlas.width_ceiling + offset
@@ -327,6 +347,14 @@ def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
                     pairs.append((
                         make_greater_link(atlas, u, n, p, q, [(a + p, b) for a, b in vec]),
                         make_greater_link(atlas, stabilize(atlas, u, POS), n, p, q, vec),
+                    ))
+                elif same:
+                    u, u2 = alike(classes)
+                    low = stabilize(atlas, stabilize(atlas, u2, POS, 3), NEG, 3)
+                    pairs.append((
+                        make_greater_link(atlas, u, n, p, q, [(a + 3 * p, b + 3 * p)
+                                                              for a, b in vec]),
+                        make_greater_link(atlas, low, n, p, q, vec),
                     ))
                 else:
                     pairs.append((
@@ -344,6 +372,13 @@ def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
                         make_integer_link(atlas, L, n, t, lhs),
                         make_integer_link(atlas, stabilize(atlas, L, POS), n, t - 1, rhs),
                     ))
+                elif same:
+                    L, L2 = alike(classes)
+                    lhs = ((vec[0][0] + 5, vec[0][1]),) + vec[1:]
+                    rhs = (vec[0],) + tuple((a, b + 5) for a, b in vec[1:])
+                    pairs.append((make_integer_link(atlas, L, n, t + 5, lhs),
+                                  make_integer_link(atlas, stabilize(atlas, L2, POS, 5),
+                                                    n, t, rhs)))
                 else:
                     first = make_integer_link(atlas, L, n, t, vec)
                     L2 = rng.choice(classes)
@@ -360,6 +395,10 @@ def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
                         make_lesser_link(atlas, w, POS, n, p, q, [(a, b + th0) for a, b in vec]),
                         make_lesser_link(atlas, w, NEG, n, p, q, [(a + th0, b) for a, b in vec]),
                     ))
+                elif same:
+                    (w, w2), sign = alike(window), rng.choice((POS, NEG))
+                    pairs.append((make_lesser_link(atlas, w, sign, n, p, q, vec),
+                                  make_lesser_link(atlas, w2, sign, n, p, q, vec)))
                 else:
                     pairs.append((
                         make_lesser_link(atlas, w, rng.choice((POS, NEG)), n, p, q, vec),
@@ -584,3 +623,154 @@ def test_class_moves_match_the_scanning_reference_on_random_atlases(atlas, data)
                      generic)
     classes = data.draw(st.lists(pool, min_size=1, max_size=6))
     assert_moves_match_references(atlas, classes)
+
+
+# ---------------------------------------------------------------------------
+# Component invariants answer before any search
+
+
+SHORT_CIRCUIT = {
+    # kind: (link, a link with other invariants, a link with the same ones);
+    # each link has a move, so a one-state budget cuts its search
+    "greater": lambda k5: (make_greater_link(k5, Named("A"), 1, 2, 1, ((2, 0),)),
+                           make_greater_link(k5, Named("A"), 1, 2, 1, ((0, 0),)),
+                           make_greater_link(k5, Named("B"), 1, 2, 1, ((2, 0),))),
+    "integer": lambda k5: (make_integer_link(k5, Named("A"), 2, 1, ((1, 0), (0, 0))),
+                           make_integer_link(k5, Named("A"), 2, 1),
+                           make_integer_link(k5, Named("B"), 2, 1, ((1, 0), (0, 0)))),
+    "lesser": lambda k5: (make_lesser_link(k5, Named("A"), POS, 1, 2, -7, ((0, 0),)),
+                          make_lesser_link(k5, Named("A"), POS, 1, 2, -7, ((1, 0),)),
+                          make_lesser_link(k5, Named("B"), POS, 1, 2, -7, ((0, 0),))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_CIRCUIT))
+def test_differing_invariants_answer_without_a_search(kind):
+    k5 = builtin_atlas("k-minus-5")
+    link, other, alike = SHORT_CIRCUIT[kind](k5)
+    budget = SearchBudget(depth=1, node_cap=1)
+    v = closure_equal(k5, link, other, budget)
+    assert v.is_not_isotopic and v.reason == "component invariants differ"
+    assert closure_equal(k5, link, alike, budget).is_unknown
+
+
+# ---------------------------------------------------------------------------
+# Move soundness: every move keeps a class's (rot, tb) and a link state's
+# multiset of component (rot, tb), which is what lets closure_equal answer
+# differing invariants without a search
+
+
+def invariant_key(atlas, state):
+    """A class's (rot, tb), or a raw link state's sorted component (rot, tb)."""
+    if isinstance(state, (Named, Generic)):
+        return tuple(invariants(atlas, state))
+    twist = 0
+    if state[0] == "greater":
+        _, u, p, q, vec = state
+        rot0, tb0 = greater_base_invariants(atlas, u, p, q)
+    elif state[0] == "lesser":
+        _, form, base, sign, p, q, vec = state
+        rot0, tb0 = lesser_base_invariants(atlas, form, base, sign, p, q)
+    else:
+        L, t, vec = state
+        (rot0, tb0), twist = invariants(atlas, L), 2 * t
+    return tuple(sorted((rot0 + a - b, tb0 - a - b - (twist if c else 0))
+                        for c, (a, b) in enumerate(vec)))
+
+
+def assert_moves_keep_invariants(atlas, objects, budget=SearchBudget(depth=4, node_cap=200)):
+    """Every move of every state in the bounded orbit of each object keeps
+    the state's invariant key; returns the number of moves checked."""
+    checked = 0
+    for obj in objects:
+        start, moves, _, _ = oracle_module._dispatch(atlas, obj)
+        for state in full_orbit(atlas, start, moves, budget)[0]:
+            key = invariant_key(atlas, state)
+            for m in moves(atlas, state):
+                assert invariant_key(atlas, m) == key, (state, m)
+                checked += 1
+    return checked
+
+
+SOUNDNESS_BUILTINS = ("unknot", "k-minus-5", "twist-even-2", "twist-even-3", "twist-even-4",
+                      "twist-even-2-surgery", "twist-even-3-surgery", "twist-even-4-surgery")
+
+
+def builtin_objects(atlas):
+    """Bounded classes and their Generic points, and the links of sampled
+    pairs of every regime the atlas supports."""
+    pool = bounded_classes(atlas, 2)
+    objects = pool + [Generic(*invariants(atlas, c)) for c in pool]
+    regimes = ("greater", "integer", "lesser") if atlas.uniformly_thick else ("greater", "integer")
+    for regime in regimes:
+        pairs = sampled_link_pairs(atlas, regime, random.Random(f"sound-{regime}"), 6)
+        objects += [obj for pair in pairs for obj in pair]
+    return objects
+
+
+@pytest.mark.parametrize("name", SOUNDNESS_BUILTINS)
+def test_moves_keep_invariants_on_builtins(name):
+    atlas = builtin_atlas(name)
+    assert assert_moves_keep_invariants(atlas, builtin_objects(atlas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_atlases(), st.data())
+def test_moves_keep_invariants_on_random_atlases(atlas, data):
+    named = bounded_classes(atlas, 2)
+    classes = st.sampled_from(named + [Generic(*invariants(atlas, c)) for c in named])
+    held = st.sampled_from([c for tb in range(atlas.tbb, atlas.tbb - 3, -1)
+                            for c in classes_at_tb(atlas, tb)])
+    window = st.sampled_from(classes_at_tb(atlas, atlas.tbb))
+    vecs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=3)
+    p = data.draw(st.integers(2, 3))
+    greater, integer, lesser = (tuple(data.draw(vecs)) for _ in range(3))
+    objects = [
+        data.draw(classes),
+        GreaterLink(data.draw(classes), len(greater), p, p * atlas.width_ceiling + 1, greater),
+        make_integer_link(atlas, data.draw(held), len(integer), data.draw(st.integers(0, 2)),
+                          integer),
+        # a standard cable over the window tb = ceil(q / p) = tbb
+        LesserLink(DIVIDE, data.draw(window), data.draw(st.sampled_from((POS, NEG))),
+                   len(lesser), p, p * atlas.tbb - 1, lesser),
+    ]
+    assert_moves_keep_invariants(atlas, objects)
+
+
+# Broken moves, one per move function, each a one-text edit of its source:
+# (module, function, text, replacement).  Each breaks the invariance of one
+# move; the soundness check must reject every one.
+MOVE_MUTANTS = {
+    "class-backward-step-swaps-da-db": (
+        oracle_module, "_class_moves",
+        "Named(rule.src, c.plus + rule.da, c.minus + rule.db)",
+        "Named(rule.src, c.plus + rule.db, c.minus + rule.da)"),
+    "greater-push-shifts-a-by-p-minus-1": (
+        oracle_module, "_greater_moves", "(a - p, b)", "(a - p + 1, b)"),
+    "lesser-ruling-push-stabilizes-negatively": (
+        oracle_module, "_lesser_moves",
+        "rul(_raw_stab(base, POS), -p, 0)", "rul(_raw_stab(base, NEG), -p, 0)"),
+    "integer-untwist-shifts-ruling-a": (
+        links_module, "integer_moves",
+        "tuple((a, b + 1) for a, b in rest)", "tuple((a + 1, b) for a, b in rest)"),
+}
+
+
+def mutant(module, name, text, replacement):
+    """``module.name`` recompiled with ``text`` replaced, once, by ``replacement``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(text) == 1, (name, text)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(text, replacement), f"<mutant of {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_MUTANTS))
+def test_move_soundness_check_rejects_each_committed_mutant(name, monkeypatch):
+    module, function, text, replacement = MOVE_MUTANTS[name]
+    # the oracle looks every move function up in its own namespace
+    monkeypatch.setattr(oracle_module, function, mutant(module, function, text, replacement))
+    with pytest.raises(AssertionError):
+        for atlas_name in SOUNDNESS_BUILTINS:
+            atlas = builtin_atlas(atlas_name)
+            assert_moves_keep_invariants(atlas, builtin_objects(atlas))
