@@ -21,16 +21,15 @@ stabilization is the Generic one lattice step down whatever the rules, so
 this is the walk that stabilizes every class of a row one at a time, and it
 gives the same rows with or without confluence.
 
-Records come in two kinds, none built by ``dataclasses``.  Named, Generic,
-RotTb, Generator and RewriteRule are ``typing.NamedTuple``s, so hashing,
-comparing and building a record runs in C; so are the read-only records of
-the other modules (links, verdicts, search budgets, overlays, check
-results).  A Named never equals a Generic (their lengths differ), but a
-Generic equals the plain (rot, tb) tuple or ``RotTb`` with the same fields,
-so no set or dict may hold both classes and invariant pairs.  KnotAtlas and
-``mountain.MountainRange`` are ``__slots__`` classes with a hand-written
-``__init__`` that builds indexes or checks entries; they compare by their
-public fields and do not hash.
+Every value record is a ``typing.NamedTuple``, none built by
+``dataclasses``: Named, Generic, RotTb, Generator and RewriteRule here, and
+the ranges, links, verdicts, search budgets, overlays and check results of
+the other modules.  A Named never equals a Generic (their lengths differ),
+but a Generic equals the plain (rot, tb) tuple or ``RotTb`` with the same
+fields, so no set or dict may hold both classes and invariant pairs.
+KnotAtlas is the one stateful class: its ``__slots__`` hold its fields and
+the indexes its ``__init__`` builds; it compares by its public fields and
+does not hash.
 
 Two queries have closed forms that hold with or without confluence.
 Normalization ends on its start generator or on a rule's target, so the
@@ -96,34 +95,11 @@ class Generic(NamedTuple):
 LegClass = Union[Named, Generic]
 
 
-class _Record:
-    """Equality and ``repr`` over the public fields ``_FIELDS``, as a dataclass has them."""
-
-    __slots__ = ()
-    _FIELDS: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__qualname__}({args})"
-
-
 class Generator(NamedTuple):
     id: str
     name: str
     rot: int
     tb: int
-
-    @property
-    def rot_tb(self) -> RotTb:
-        return RotTb(self.rot, self.tb)
 
 
 class RewriteRule(NamedTuple):
@@ -140,7 +116,7 @@ class RewriteRule(NamedTuple):
     dst: Optional[str]
 
 
-class KnotAtlas(_Record):
+class KnotAtlas:
     """An atlas; treat as immutable after construction.
 
     Constructing one builds the id, order, rule and surgery indexes and
@@ -208,6 +184,18 @@ class KnotAtlas(_Record):
         self._destabs = {}
         self._moves = {}
         self._rules_by_dst = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"KnotAtlas({args})"
 
     def replace(self, **changes) -> KnotAtlas:
         """A copy with ``changes`` to its public fields, with its indexes
@@ -538,10 +526,11 @@ def class_label(atlas: KnotAtlas, c: LegClass) -> str:
     """Display name of ``c``, which must be a normal form."""
     if isinstance(c, Generic):
         return f"({c.rot},{c.tb})"
-    return _named_label(atlas.generator(c.gen).name, c.plus, c.minus)
+    return named_label(atlas.generator(c.gen).name, c.plus, c.minus)
 
 
-def _named_label(name: str, plus: int, minus: int) -> str:
+def named_label(name: str, plus: int, minus: int) -> str:
+    """``name+plus-minus``, the label of a stabilized class; ``name`` when unstabilized."""
     if plus == 0 and minus == 0:
         return name
     return f"{name}+{plus}-{minus}"
@@ -658,7 +647,7 @@ def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
             for c in row:
                 if isinstance(c, Named):
                     g = by_id[c.gen]
-                    yield (g.rot + c.plus - c.minus, tb), _named_label(g.name, c.plus, c.minus)
+                    yield (g.rot + c.plus - c.minus, tb), named_label(g.name, c.plus, c.minus)
                 else:
                     yield (c.rot, tb), f"({c.rot},{tb})"
 

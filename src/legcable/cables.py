@@ -35,6 +35,7 @@ from .atlas import (
     class_rows,
     classes_at_tb,
     invariants,
+    named_label,
 )
 from .errors import NotReduced, WrongRegime
 from .mountain import MountainRange, check_cutoff, tally
@@ -67,8 +68,8 @@ def regime(atlas: KnotAtlas, p: int, q: int) -> Regime:
 def _stabilized(cells, tb_min: int):
     """Labelled points of the stabilizations of unstabilized cables.
 
-    A cell is (name, invariants, a_lim, b_lim); it yields ``name+a-b`` (just
-    ``name`` for a = b = 0) at (rot + a - b, tb - a - b) for a < a_lim and
+    A cell is (name, invariants, a_lim, b_lim); it yields the label
+    ``named_label(name, a, b)`` at (rot + a - b, tb - a - b) for a < a_lim and
     b < b_lim, down to the row ``tb_min``.  So a cell costs at most its
     points above the cutoff, however large p is.
     """
@@ -76,7 +77,7 @@ def _stabilized(cells, tb_min: int):
         depth = tb - tb_min
         for a in range(min(a_lim, depth + 1)):
             for b in range(min(b_lim, depth - a + 1)):
-                yield (rot + a - b, tb - a - b), f"{name}+{a}-{b}" if a or b else name
+                yield (rot + a - b, tb - a - b), named_label(name, a, b)
 
 
 # ---------------------------------------------------------------------------

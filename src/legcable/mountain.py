@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CutoffAbovePeak, InvalidMultiplicity, ParityViolation, TooManyRows
 
@@ -16,48 +16,39 @@ Point = tuple[int, int]
 MAX_ROWS = 500
 
 
-class MountainRange:
+class _RangeFields(NamedTuple):
+    entries: dict[Point, int]
+    tb_min: int
+    labels: dict[Point, tuple[str, ...]]
+    truncated: bool
+
+
+class MountainRange(_RangeFields):
     """Association from lattice points (rot, tb) to class multiplicities.
 
     Entries only occupy points with rot + tb odd.  ``tb_min`` records the
     cutoff row; ``truncated`` is set when families continue below it (for
     stabilization cones that is always the case once the bottom row is
-    occupied).  ``labels`` optionally names the classes at a point.  Ranges
-    compare by their four fields and do not hash.
+    occupied).  ``labels`` optionally names the classes at a point.  A range
+    is an immutable named tuple: it compares by its four fields as a tuple
+    does, and does not hash, since two of its fields are dicts.
     """
 
-    __slots__ = ("entries", "tb_min", "labels", "truncated")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         entries: dict[Point, int],
         tb_min: int,
         labels: Optional[dict[Point, tuple[str, ...]]] = None,
         truncated: bool = True,
-    ) -> None:
+    ) -> MountainRange:
         for (rot, tb), mult in entries.items():
             if (rot + tb) % 2 == 0:
                 raise ParityViolation(f"entry at ({rot}, {tb}) has even rot + tb")
             if mult < 1:
                 raise InvalidMultiplicity(rot, tb, mult)
-        self.entries = entries
-        self.tb_min = tb_min
-        self.labels = {} if labels is None else labels
-        self.truncated = truncated
-
-    def _values(self) -> tuple:
-        return (self.entries, self.tb_min, self.labels, self.truncated)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"MountainRange(entries={self.entries!r}, tb_min={self.tb_min!r}, "
-            f"labels={self.labels!r}, truncated={self.truncated!r})"
-        )
+        return super().__new__(cls, entries, tb_min, {} if labels is None else labels, truncated)
 
     def points(self) -> list[Point]:
         """Occupied lattice points, top row first, left to right."""

@@ -116,8 +116,8 @@ def test_builtin_twist_even_2_shape():
     rs = [g for g in atlas.generators if g.id.startswith("R")]
     ls = [g for g in atlas.generators if g.id.startswith("L")]
     assert len(ps) == 2 and len(rs) == 1 and len(ls) == 1
-    assert all(g.rot_tb == (0, 1) for g in ps)
-    assert rs[0].rot_tb == (1, 0) and ls[0].rot_tb == (-1, 0)
+    assert all((g.rot, g.tb) == (0, 1) for g in ps)
+    assert (rs[0].rot, rs[0].tb) == (1, 0) and (ls[0].rot, ls[0].tb) == (-1, 0)
 
 
 def test_builtin_sizes_scale_with_n():
@@ -129,7 +129,7 @@ def test_builtin_sizes_scale_with_n():
 def test_builtin_k_minus_5_and_unknot():
     k5 = builtin_atlas("k-minus-5")
     assert sorted(g.id for g in peaks(k5)) == ["A", "B"]
-    assert all(g.rot_tb == (0, -3) for g in k5.generators)
+    assert all((g.rot, g.tb) == (0, -3) for g in k5.generators)
     un = builtin_atlas("unknot")
     assert [g.id for g in peaks(un)] == ["U"]
     assert not un.uniformly_thick
@@ -761,7 +761,7 @@ def reference_peaks(atlas):
             for a in range(h.tb - g.tb + 1)
         )
         if not any(
-            invariants(atlas, state) == g.rot_tb and normalize(atlas, state) == Named(g.id)
+            invariants(atlas, state) == (g.rot, g.tb) and normalize(atlas, state) == Named(g.id)
             for state in states
         ):
             result.append(g)
@@ -934,7 +934,7 @@ RECORD_TWINS = [
     (CheckResult, twin(CheckResult, ["name", "passed", "detail"]),
      [("gate", True, "ok"), ("gate", False, "ok")]),
     (ConfluenceReport, twin(ConfluenceReport, ["divergences"]), [([],), ([{"input": "g"}],)]),
-    # the two slots classes stay mutable and unhashable
+    # the atlas stays mutable; it and the range stay unhashable
     (KnotAtlas, twin(KnotAtlas, [
         "name", "generators", "rules", "tbb", "width_ceiling", "uniformly_thick",
         ("surgery_distinct", tuple, ()), ("sigma_plus", tuple, ()), ("sigma_minus", tuple, ()),
@@ -945,7 +945,7 @@ RECORD_TWINS = [
      + [("u", (Generator("U", "U", 0, -1),), (), -1, -1, False)]),
     (MountainRange, twin(MountainRange, [
         "entries", "tb_min", ("labels", dict, dataclasses.field(default_factory=dict)),
-        ("truncated", bool, True)], frozen=False),
+        ("truncated", bool, True)]),
      [({(0, 1): 2}, -3), ({(0, 1): 2}, -3, {(0, 1): ("P1", "P2")}, False), ({}, 0)]),
 ]
 

@@ -4,8 +4,9 @@ No module imports inside a function body (such imports hide cycles), the
 package's modules import one another without a cycle, ``cables`` imports
 nothing from ``links``, which is built on top of it, the brute-force oracle
 does not use the row builder it checks, no module imports another's
-underscore name, and the package exports nothing, nor any public method or
-property of an exported class, that no module, test or benchmark uses.
+underscore name, only KnotAtlas writes its own ``__eq__`` or ``__repr__``,
+and the package exports nothing, nor any public method or property of an
+exported class, that no module, test or benchmark uses.
 """
 
 import ast
@@ -84,6 +85,22 @@ def test_no_module_imports_an_underscore_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_the_atlas_writes_its_own_equality():
+    """Value records are named tuples and take ``__eq__`` and ``__repr__``
+    from them; only KnotAtlas defines either in its body.  An assignment
+    such as the link records' ``__eq__, __ne__ = ...`` defines nothing."""
+    found = {
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name in ("__eq__", "__repr__")
+    }
+    assert found == {"atlas.py:KnotAtlas"}
 
 
 def public_members(module, cls):
