@@ -124,12 +124,11 @@ class KnotAtlas:
     indexes, and ``make_atlas`` and every builtin return only what it
     passed.  A hand-built atlas is as valid as its records.
 
-    Two tables start empty and fill as questions arrive: ``_destabs``, the
-    decider's destabilizations per (normal form, sign), and ``_moves``, the
-    oracle's one-step rewrites per class (with ``_rules_by_dst``, the
-    oracle's rules-by-target index, built at its first question).  They hold
-    answers the public fields determine, so equality and ``repr`` ignore
-    them, and ``replace`` starts them afresh.
+    Two tables start empty: ``_destabs``, the decider's destabilizations per
+    (normal form, sign), filled as questions arrive, and ``_oracle``, the
+    oracle's table, ``None`` until the oracle's first question and shaped by
+    the oracle alone.  They hold answers the public fields determine, so
+    equality and ``repr`` ignore them, and ``replace`` starts them afresh.
 
     ``surgery_distinct`` holds the partial relation "Legendrian surgery on
     these two generators yields distinct contact manifolds"; the relation is
@@ -146,7 +145,7 @@ class KnotAtlas:
         "surgery_distinct", "sigma_plus", "sigma_minus", "both_signs_determined",
     )
     __slots__ = _FIELDS + (
-        "_by_id", "_order", "_rules_by_src", "_surgery", "_destabs", "_moves", "_rules_by_dst",
+        "_by_id", "_order", "_rules_by_src", "_surgery", "_destabs", "_oracle",
     )
 
     def __init__(
@@ -178,12 +177,10 @@ class KnotAtlas:
         for rule in rules:
             self._rules_by_src.setdefault(rule.src, []).append(rule)
         self._surgery = {frozenset((a, b)): value for (a, b, value) in surgery_distinct}
-        # (normal form, sign) -> destabilizations, for the decider, and class
-        # -> one-step rewrites, for the oracle, both filled as questions arrive;
-        # the oracle builds the rules-by-target index at its first question
+        # (normal form, sign) -> destabilizations, for the decider, filled as
+        # questions arrive; the oracle builds its own table at its first question
         self._destabs = {}
-        self._moves = {}
-        self._rules_by_dst = None
+        self._oracle = None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._FIELDS)
@@ -199,7 +196,7 @@ class KnotAtlas:
 
     def replace(self, **changes) -> KnotAtlas:
         """A copy with ``changes`` to its public fields, with its indexes
-        rebuilt and empty destabilization and move tables; it is not validated."""
+        rebuilt and empty decider and oracle tables; it is not validated."""
         return KnotAtlas(**dict(zip(self._FIELDS, self._values()), **changes))
 
     def generator(self, gid: str) -> Generator:

@@ -32,19 +32,23 @@ The searches that run to the end -- every disjoint and every budget-cut
 verdict -- are the full searches, and on link pairs they run only when the
 multisets agree.
 
-Each move costs its answer.  ``legclass_moves`` answers a class once per
-atlas, from the table ``atlas._moves`` (class -> its one-step rewrites),
-which starts empty, fills as questions arrive and holds classes only, never
-link states, so it is bounded by the classes the oracle visits.  A class's
-backward steps come from an index of the rules by target (``None`` for the
-rules to Generic), built on the atlas at the oracle's first question, so a
-builder or decider that never asks pays nothing for it.  A link state's
-stabilization vector is sorted (``_greater_state``, ``_lesser_state``) and
-non-empty (a link has at least one component), and every link move shifts
-all of its ``a``, all of its ``b``, or both, by one constant.  A shift keeps
-the lexicographic order, so the moves build their vectors without sorting,
-and read the least ``a`` off the first entry, with the same states, in the
-same order, as sorting would give.
+Each question costs its answer once per atlas.  The oracle keeps one table
+per atlas in ``atlas._oracle``, built at its first question, so a builder or
+decider that never asks pays nothing for it.  The table has three parts:
+``moves`` (class -> its one-step rewrites, for ``legclass_moves``),
+``by_dst`` (the rules by target, ``None`` for the rules to Generic, for a
+class's backward steps) and ``forms`` (class -> the frozenset of its normal
+forms, for ``check_confluence``).  ``moves`` and ``forms`` fill as questions
+arrive and hold classes only, never link states, so they are bounded by the
+classes the oracle visits.  A class's normal forms do not depend on the
+sweep's depth, so a repeat sweep, at any depth, reads them back.
+
+A link state's stabilization vector is sorted (``_greater_state``,
+``_lesser_state``) and non-empty (a link has at least one component), and
+every link move shifts all of its ``a``, all of its ``b``, or both, by one
+constant.  A shift keeps the lexicographic order, so the moves build their
+vectors without sorting, and read the least ``a`` off the first entry, with
+the same states, in the same order, as sorting would give.
 
 The three ``brute_*`` ranges share one builder, ``_brute_range``: each lists
 stabilized presentations with their (rot, tb) point, and the builder counts
@@ -136,12 +140,24 @@ def _forward_steps(atlas: KnotAtlas, c: LegClass) -> list[LegClass]:
     return out
 
 
+class _Table(NamedTuple):
+    """The oracle's answers for one atlas, kept in ``atlas._oracle``."""
+
+    moves: dict
+    by_dst: dict
+    forms: dict
+
+
+def _new_table(atlas: KnotAtlas) -> _Table:
+    by_dst: dict = {}
+    for rule in atlas.rules:
+        by_dst.setdefault(rule.dst, []).append(rule)
+    table = atlas._oracle = _Table({}, by_dst, {})
+    return table
+
+
 def _class_moves(atlas: KnotAtlas, c: LegClass) -> tuple[LegClass, ...]:
-    by_dst = atlas._rules_by_dst
-    if by_dst is None:
-        by_dst = atlas._rules_by_dst = {}
-        for rule in atlas.rules:
-            by_dst.setdefault(rule.dst, []).append(rule)
+    by_dst = atlas._oracle.by_dst
     if isinstance(c, Named):
         return tuple(_forward_steps(atlas, c) + [
             Named(rule.src, c.plus + rule.da, c.minus + rule.db)
@@ -158,9 +174,12 @@ def _class_moves(atlas: KnotAtlas, c: LegClass) -> tuple[LegClass, ...]:
 def legclass_moves(atlas: KnotAtlas, c: LegClass) -> tuple[LegClass, ...]:
     """One rewrite step: the forward steps, then the backward ones, in rule
     order; answered once per atlas and class."""
-    moves = atlas._moves.get(c)
+    table = atlas._oracle
+    if table is None:
+        table = _new_table(atlas)
+    moves = table.moves.get(c)
     if moves is None:
-        moves = atlas._moves[c] = _class_moves(atlas, c)
+        moves = table.moves[c] = _class_moves(atlas, c)
     return moves
 
 
@@ -338,6 +357,32 @@ def _inv_key(atlas, obj) -> tuple:
     return tuple(sorted(component_invariants(atlas, obj)))
 
 
+def _state_key(atlas, state) -> tuple:
+    """A class's (rot, tb), or a link state's sorted component (rot, tb)."""
+    if isinstance(state, (Named, Generic)):
+        return tuple(invariants(atlas, state))
+    if state[0] == "greater":
+        _, u, p, q, vec = state
+        return _inv_key(atlas, GreaterLink(u, len(vec), p, q, vec))
+    if state[0] == "lesser":
+        _, form, base, sign, p, q, vec = state
+        return _inv_key(atlas, LesserLink(form, base, sign, len(vec), p, q, vec))
+    L, t, vec = state
+    return _inv_key(atlas, IntegerLink(L, len(vec), t, invariants(atlas, L).tb - t, vec))
+
+
+def unsound_moves(atlas, obj) -> int:
+    """How many moves out of the states of ``obj``'s orbit, cut at depth 3
+    and 60 states, change the state's invariant key; 0 when every move
+    keeps it, as ``closure_equal``'s unsearched answer needs."""
+    start, moves, _, _ = _dispatch(atlas, obj)
+    bad = 0
+    for state in orbit(atlas, start, moves, SearchBudget(depth=3, node_cap=60))[0]:
+        key = _state_key(atlas, state)
+        bad += sum(_state_key(atlas, m) != key for m in moves(atlas, state))
+    return bad
+
+
 # ---------------------------------------------------------------------------
 # Confluence
 
@@ -352,15 +397,20 @@ class ConfluenceReport(NamedTuple):
 
 def _all_normal_forms(atlas, c: LegClass, memo: dict) -> frozenset:
     """Normal forms over every maximal rewrite sequence from c."""
-    if c not in memo:
-        forms = [_all_normal_forms(atlas, n, memo) for n in _forward_steps(atlas, c)]
-        memo[c] = frozenset().union(*forms) if forms else frozenset([c])
-    return memo[c]
+    forms = memo.get(c)
+    if forms is None:
+        steps = [_all_normal_forms(atlas, n, memo) for n in _forward_steps(atlas, c)]
+        forms = memo[c] = frozenset().union(*steps) if steps else frozenset([c])
+    return forms
 
 
 def check_confluence(atlas, budget: SearchBudget = SearchBudget(depth=8)) -> ConfluenceReport:
-    """Verify every bounded presentation has a unique normal form."""
-    memo: dict = {}
+    """Verify every bounded presentation has a unique normal form; the
+    normal forms come from, and go to, the atlas's table."""
+    table = atlas._oracle
+    if table is None:
+        table = _new_table(atlas)
+    memo = table.forms
     divergences = []
     for g in atlas.generators:
         for total in range(budget.depth + 1):

@@ -1029,18 +1029,18 @@ def test_links_of_different_types_are_never_equal():
 def test_atlas_replace_rebuilds_indexes_and_starts_an_empty_table():
     atlas = builtin_atlas("twist-even-2")
     shown = repr(atlas)
-    assert (atlas._moves, atlas._rules_by_dst) == ({}, None)
+    assert atlas._oracle is None
     atlas_module.destabilizations(atlas, Named("R1"), POS)
     assert atlas._destabs
     assert closure_equal(atlas, Named("P1", 1, 1), Generic(0, -1)).is_isotopic
-    assert atlas._moves and atlas._rules_by_dst is not None
-    assert all(isinstance(c, (Named, Generic)) for c in atlas._moves)
+    assert atlas._oracle.moves and atlas._oracle.by_dst is not None
+    assert all(isinstance(c, (Named, Generic)) for c in atlas._oracle.moves)
     # full tables change neither equality, repr nor the document
     assert atlas == builtin_atlas("twist-even-2") and repr(atlas) == shown
     assert make_atlas(atlas_to_json(atlas)) == atlas
     copy = atlas.replace()
     assert copy == atlas and copy is not atlas and copy._destabs == {}
-    assert (copy._moves, copy._rules_by_dst) == ({}, None)
+    assert copy._oracle is None
     renamed = atlas.replace(name="other", rules=atlas.rules[:1])
     assert (renamed.name, renamed.rules) == ("other", atlas.rules[:1])
     assert renamed.rules_for("P1") == list(atlas.rules[:1]) and renamed.rules_for("P2") == []

@@ -5,11 +5,13 @@ package's modules import one another without a cycle, ``cables`` imports
 nothing from ``links``, which is built on top of it, the brute-force oracle
 does not use the row builder it checks, no module imports another's
 underscore name, only KnotAtlas writes its own ``__eq__`` or ``__repr__``,
-and the package exports nothing, nor any public method or property of an
-exported class, that no module, test or benchmark uses.
+only the oracle touches its per-atlas table, and the package exports
+nothing, nor any public method or property of an exported class, that no
+module, test or benchmark uses.
 """
 
 import ast
+import re
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -101,6 +103,33 @@ def test_only_the_atlas_writes_its_own_equality():
         and fn.name in ("__eq__", "__repr__")
     }
     assert found == {"atlas.py:KnotAtlas"}
+
+
+def test_only_the_oracle_touches_its_table():
+    """Outside ``oracle.py`` the one use of ``._oracle`` is the
+    ``self._oracle = None`` of ``KnotAtlas.__init__``, and ``atlas.py`` names
+    neither of the oracle's former slots."""
+    uses = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "oracle.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "_oracle"
+    ]
+    init = next(
+        fn
+        for cls in ast.walk(parse(SRC / "atlas.py"))
+        if isinstance(cls, ast.ClassDef) and cls.name == "KnotAtlas"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    )
+    stores = [
+        ("atlas.py", node.lineno)
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign) and ast.unparse(node) == "self._oracle = None"
+    ]
+    assert len(stores) == 1 and uses == stores
+    assert re.findall(r"\b(?:_moves|_rules_by_dst)\b", (SRC / "atlas.py").read_text()) == []
 
 
 def public_members(module, cls):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legcable import (
+    BUILTIN_NAMES,
     DIVIDE,
     Generic,
     GreaterLink,
@@ -42,6 +43,7 @@ from legcable import links as links_module
 from legcable import oracle as oracle_module
 from legcable.cables import greater_base_invariants, lesser_base_invariants
 from legcable.errors import BudgetExceeded, KindMismatch, WrongRegime
+from legcable.selfcheck import check_oracle_agreement
 from test_atlas import small_atlases
 
 # brute-force builder and greedy builder of each kind of range
@@ -158,10 +160,10 @@ def test_check_confluence_builtins_clean():
         assert report.ok, report.divergences
 
 
-def test_check_confluence_reports_divergence():
+def divergent_atlas():
     # one trigger, two persistent targets: the normal form depends on the
     # rule order, which confluence checking must flag
-    atlas = make_atlas(
+    return make_atlas(
         {
             "name": "divergent",
             "generators": [
@@ -176,9 +178,35 @@ def test_check_confluence_reports_divergence():
             "tbb": 1,
         }
     )
-    report = check_confluence(atlas, SearchBudget(depth=4))
+
+
+def test_check_confluence_reports_divergence():
+    report = check_confluence(divergent_atlas(), SearchBudget(depth=4))
     assert not report.ok
     assert any(d["input"].startswith("g") for d in report.divergences)
+
+
+def assert_warm_sweeps_match_cold(atlas):
+    """A sweep on a table warmed at another depth reports what a sweep on a
+    fresh copy reports, at 4 after 8 and at 8 after 4."""
+    for first, second in ((4, 8), (8, 4)):
+        warm = atlas.replace()
+        check_confluence(warm, SearchBudget(depth=first))
+        report = check_confluence(warm, SearchBudget(depth=second))
+        assert report == check_confluence(atlas.replace(), SearchBudget(depth=second))
+        assert check_confluence(warm, SearchBudget(depth=second)) == report
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("twist-even-2-surgery", "divergent"))
+def test_check_confluence_on_a_warm_table_matches_a_cold_one(name):
+    assert_warm_sweeps_match_cold(
+        divergent_atlas() if name == "divergent" else builtin_atlas(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_atlases())
+def test_check_confluence_on_a_warm_table_matches_a_cold_one_on_random_atlases(atlas):
+    assert_warm_sweeps_match_cold(atlas)
 
 
 def test_check_confluence_empty_rule_set():
@@ -587,7 +615,8 @@ def assert_moves_match_references(atlas, objects):
             assert list(moves(atlas.replace(), s)) == want, s
             assert list(moves(warm, s)) == want, s
         checked += len(orbit)
-    assert warm._moves and all(isinstance(c, (Named, Generic)) for c in warm._moves)
+    table = warm._oracle
+    assert table.moves and all(isinstance(c, (Named, Generic)) for c in table.moves)
     return checked
 
 
@@ -774,3 +803,12 @@ def test_move_soundness_check_rejects_each_committed_mutant(name, monkeypatch):
         for atlas_name in SOUNDNESS_BUILTINS:
             atlas = builtin_atlas(atlas_name)
             assert_moves_keep_invariants(atlas, builtin_objects(atlas))
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_MUTANTS))
+def test_oracle_agreement_gate_fails_on_each_committed_mutant(name, monkeypatch):
+    module, function, text, replacement = MOVE_MUTANTS[name]
+    monkeypatch.setattr(oracle_module, function, mutant(module, function, text, replacement))
+    result = check_oracle_agreement()
+    assert not result.passed
+    assert "oracle moves change the invariants" in result.detail
