@@ -672,8 +672,9 @@ def destabilizations(atlas: KnotAtlas, c: LegClass, sign: int) -> list[LegClass]
 
 
 # ---------------------------------------------------------------------------
-# Breadth-first search: the one loop behind links.integer_closure,
-# oracle.closure_equal and the oracle's brute_* ranges
+# Breadth-first search: the one loop behind links.integer_closure, the
+# meeting searches of links.isotopic's integer clause and of
+# oracle.closure_equal, and the oracle's brute_* ranges
 
 
 class SearchBudget(NamedTuple):

@@ -564,14 +564,21 @@ def integer_moves(atlas, state: IntState) -> list[IntState]:
     return out
 
 
+def _int_budget(node_cap: int) -> SearchBudget:
+    # the depth never binds: each level that leaves a frontier adds a state, and states <= depth
+    return SearchBudget(max(node_cap, 1), node_cap)
+
+
 def integer_closure(atlas, link: IntegerLink, node_cap: int = 4000) -> tuple[frozenset, bool]:
     """All presentations of the link, at most ``max(node_cap, 1)`` of them;
     the flag reports full exploration.  The search is ``atlas.orbit`` over
-    ``integer_moves``, breadth-first from the link's own presentation."""
+    ``integer_moves``, breadth-first from the link's own presentation.
+
+    This is the full one-link closure that the tests and the verdict-site
+    witnesses use; the decider does not call it, and runs the same search
+    from both links until they meet."""
     start = int_state(atlas, link.L, link.t, link.vec)
-    # the depth never binds: each level that leaves a frontier adds a state, and states <= depth
-    depth = max(node_cap, 1)
-    parents, complete, _ = orbit(atlas, start, integer_moves, SearchBudget(depth, node_cap))
+    parents, complete, _ = orbit(atlas, start, integer_moves, _int_budget(node_cap))
     return frozenset(parents), complete
 
 
@@ -602,7 +609,11 @@ def _require_comparable(link1: Link, link2: Link) -> None:
 
 
 def isotopic(atlas, link1: Link, link2: Link, node_cap: int = 4000) -> Verdict:
-    """Decide Legendrian isotopy of two links of the same cable type."""
+    """Decide Legendrian isotopy of two links of the same cable type.
+
+    ``node_cap`` caps each of the two presentation searches of an
+    integer-slope pair (the states either may hold); the other regimes
+    search nothing and ignore it."""
     _require_comparable(link1, link2)
     if isinstance(link1, GreaterLink):
         return _isotopic_greater(atlas, link1, link2)
@@ -635,9 +646,20 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
         if is_equal(atlas, component_class(atlas, x, 1), component_class(atlas, y, 1)):
             return Verdict.yes("single components are the same class")
         return Verdict.no("single components are distinct classes")
-    cx, okx = integer_closure(atlas, x, node_cap)
-    cy, oky = integer_closure(atlas, y, node_cap)
-    if cx & cy:
+    # The two searches stop where they meet, as in oracle.closure_equal: x's
+    # stops when it discovers y's start, and y's at the first state already
+    # in x's.  Neither stop changes a verdict.  Under the same budget a
+    # search discovers the same states in the same order up to any state,
+    # and it checks the node cap before the stop, so x's meets exactly when
+    # its full closure holds y's start, and y's meets exactly when its full
+    # closure meets x's.  Searches that do not meet run to the end, so every
+    # clause below reads the full closures and their complete flags.
+    budget = _int_budget(node_cap)
+    sy = int_state(atlas, y.L, y.t, y.vec)
+    cx, okx, met = orbit(atlas, int_state(atlas, x.L, x.t, x.vec), integer_moves, budget, {sy})
+    if met is None:
+        cy, oky, met = orbit(atlas, sy, integer_moves, budget, cx)
+    if met is not None:
         return Verdict.yes("common twisted-copy presentation found")
     if not okx or not oky:
         return Verdict.maybe("presentation search exceeded its node budget")

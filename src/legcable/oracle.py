@@ -19,9 +19,9 @@ integer pairs away from the n-copy sector).  Integer and lesser pairs whose
 distinctness rests on the classification's side conditions come back
 Unknown: the oracle never overclaims, since it is the trust anchor.
 
-Both searches run ``atlas.orbit``, the breadth-first loop that the
-decider's ``integer_closure`` runs too, and they stop where they meet.  The
-first stops when it discovers the second start state (at once when the
+Both searches run ``atlas.orbit``, and they stop where they meet; the
+decider's integer clause runs the same meeting search over its own moves.
+The first stops when it discovers the second start state (at once when the
 starts are equal), and the second stops at the first state already in the
 first orbit.  Neither stop can change a verdict: a breadth-first search
 under the same budget discovers the same states in the same order, with the
