@@ -6,20 +6,23 @@ class.  A Legendrian isotopy class is either Named(gen, a, b) -- the
 generator stabilized a times positively and b times negatively -- or
 Generic(rot, tb), a class determined by its invariants alone.  Equality of
 classes is equality of rewrite normal forms; every rule strictly decreases
-a + b, so normalization terminates.  Normal forms are assumed unique (the
-rules are assumed confluent): ``class_rows`` builds each row from the
-stabilizations of the row above, and canonicalization pushes stabilizations
-through normal forms, and both are exact only then.  Nothing proves this at
-load time yet (ROADMAP item 4); the oracle's ``check_confluence`` samples it
-to a fixed depth.
+a + b, so normalization terminates.  Normal forms are unique (the rules are
+confluent): ``make_atlas`` proves it for every atlas document by the finite
+critical-pair check of ``_check_confluent`` and raises NotConfluent
+otherwise, and the builtins are confluent by the family lemma of
+``twist_even_atlas``, which a test checks.  ``class_rows`` builds each
+row from the stabilizations of the row above, canonicalization pushes
+stabilizations through normal forms, and the integer decider reads classes
+off normal forms; all three are exact because of it.  The oracle's
+``check_confluence`` samples it to a fixed depth as an independent check.
 
 ``class_rows`` walks each stabilization cone once.  A row's Generic classes
 are one set of rot values, and the next row's are those rots moved by +1 and
 -1, plus the rot of every Generic that a stabilized Named normal form
 rewrites to; only the Named forms go through the rules.  A Generic's
 stabilization is the Generic one lattice step down whatever the rules, so
-this is the walk that stabilizes every class of a row one at a time, and it
-gives the same rows with or without confluence.
+this is the walk that stabilizes every class of a row one at a time, on any
+rules.
 
 Every value record is a ``typing.NamedTuple``, none built by
 ``dataclasses``: Named, Generic, RotTb, Generator and RewriteRule here, and
@@ -31,19 +34,19 @@ KnotAtlas is the one stateful class: its ``__slots__`` hold its fields and
 the indexes its ``__init__`` builds; it compares by its public fields and
 does not hash.
 
-Two queries have closed forms that hold with or without confluence.
-Normalization ends on its start generator or on a rule's target, so the
-peaks (non-destabilizable generators) are the generators no rule targets.
+Two queries have closed forms that read the rules alone.  Normalization
+ends on its start generator or on a rule's target, so the peaks
+(non-destabilizable generators) are the generators no rule targets.
 A stabilization of sign s moves rot by s, so the s-destabilizations of c
 are the classes at the one lattice point (rot(c) - s, tb(c) + 1) whose
 s-stabilization is c.
 
 Each atlas keeps a private table from (normal form, sign) to that answer,
 filled as questions arrive, so the twisted-copy search of integer-slope
-links asks each question once per atlas.  The table is exact with or
-without confluence: ``normalize`` is deterministic and an atlas is not
-changed after construction.  It is absent from equality, ``repr`` and the
-JSON form, and ``KnotAtlas.replace`` starts a copy with an empty table.
+links asks each question once per atlas.  The table is exact because
+``normalize`` is deterministic and an atlas is not changed after
+construction.  It is absent from equality, ``repr`` and the JSON form, and
+``KnotAtlas.replace`` starts a copy with an empty table.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .errors import (
     DuplicateId,
     InvariantMismatch,
     MetadataInconsistent,
+    NotConfluent,
     ParityViolation,
     UnknownGenerator,
     UnsupportedKind,
@@ -122,7 +126,9 @@ class KnotAtlas:
     Constructing one builds the id, order, rule and surgery indexes and
     checks nothing: ``validate_atlas`` checks the records against those
     indexes, and ``make_atlas`` and every builtin return only what it
-    passed.  A hand-built atlas is as valid as its records.
+    passed.  ``make_atlas`` also proves the rules confluent, so every class
+    of a document's atlas has one normal form, as every class of a builtin
+    has.  A hand-built atlas is as valid, and as confluent, as its records.
 
     Two tables start empty: ``_destabs``, the decider's destabilizations per
     (normal form, sign), filled as questions arrive, and ``_oracle``, the
@@ -227,13 +233,14 @@ def make_atlas(spec: dict) -> KnotAtlas:
     [{a, b, value}], sigma_plus, sigma_minus, both_signs_determined.
     A missing or mistyped field raises MalformedDocument.  The document is
     read into records first; ``validate_atlas`` then checks them, as it
-    checks every builtin.
+    checks every builtin, and ``_check_confluent`` proves that its rules give
+    every class one normal form.
     """
     try:
         atlas = _atlas_from_spec(spec)
     except DOCUMENT_ERRORS as exc:
         raise malformed("atlas document", exc) from None
-    return validate_atlas(atlas)
+    return _check_confluent(validate_atlas(atlas))
 
 
 def _atlas_from_spec(spec: dict) -> KnotAtlas:
@@ -334,6 +341,37 @@ def validate_atlas(atlas: KnotAtlas) -> KnotAtlas:
     return atlas
 
 
+def _check_confluent(atlas: KnotAtlas) -> KnotAtlas:
+    """``atlas``, if every class has one rewrite normal form; else NotConfluent.
+
+    Every rule lowers a + b, so rewriting terminates, and every rewrite is
+    at the root and still applies after further stabilizations, which it
+    commutes with.  So two one-step reducts of a class differ only where two
+    rules of one source both apply, and each such pair is a stabilization of
+    the pair at its critical point Named(src, max da, max db).  By Newman's
+    lemma the rules are confluent exactly when every critical pair joins
+    (Knuth-Bendix; Baader-Nipkow, Term Rewriting and All That, 1998), and as
+    ``normalize`` is deterministic a pair joins exactly when its two reducts
+    normalize alike.  ``atlas`` must have passed ``validate_atlas``.
+    """
+    for src, rules in atlas._rules_by_src.items():
+        for r1, r2 in combinations(rules, 2):
+            point = Named(src, max(r1.da, r2.da), max(r1.db, r2.db))
+            forms = [
+                normalize(atlas, Generic(*invariants(atlas, point)) if r.dst is None
+                          else Named(r.dst, point.plus - r.da, point.minus - r.db))
+                for r in (r1, r2)
+            ]
+            if forms[0] != forms[1]:
+                rule1, rule2 = (f"({r.src},{r.da},{r.db})->{r.dst or 'generic'}" for r in (r1, r2))
+                raise NotConfluent(
+                    f"rules {rule1} and {rule2} of generator {src!r} diverge at "
+                    f"{class_label(atlas, point)}: normal forms "
+                    f"{class_label(atlas, forms[0])} and {class_label(atlas, forms[1])}"
+                )
+    return atlas
+
+
 def ceil_div(q: int, p: int) -> int:
     return -((-q) // p)
 
@@ -349,6 +387,13 @@ def twist_even_atlas(n: int, surgery: bool = False) -> KnotAtlas:
     sign pushes an edge class into the invariant-determined interior.
     ``surgery`` marks peak pairs as surgery-distinct, which is the
     hypothesis needed for cables with slope in (0, 1).
+
+    The rules are confluent for every n, with or without ``surgery``, which
+    changes no rule: each peak's only critical pair is at Pi+1-1, where
+    Rj+0-1 and Lj+1-0 both rewrite to the Generic (0,-1), and each edge
+    generator has one rule.  (The unknot's and k-minus-5's generators meet
+    the same way, at +1-1 on one Generic.)  So the builtins skip
+    ``_check_confluent``, which a test runs on every builtin.
 
     Built straight from its records, with no document in between; they go
     through ``validate_atlas`` as a document's records do.
@@ -575,11 +620,11 @@ def class_rows(
     values: their stabilizations are the rots r + 1 and r - 1, and only the
     row's Named normal forms go through the rules, adding the rot of every
     Generic they reach.  That is the per-class walk, one rot at a time, so
-    the two give the same rows on every atlas, confluent or not; both equal
-    ``classes_at_tb`` when normal forms are unique.  Each row is sorted by
-    ``class_key``: its Named forms, then its Generic classes by rot.  Empty
-    when tb_min lies above the top row; TooManyRows when there would be more
-    than MAX_ROWS rows.
+    the two give the same rows on any rules, and as normal forms are unique
+    (``make_atlas`` proves it) both equal ``classes_at_tb``.  Each row is
+    sorted by ``class_key``: its Named forms, then its Generic classes by
+    rot.  Empty when tb_min lies above the top row; TooManyRows when there
+    would be more than MAX_ROWS rows.
     """
     tb_max = atlas.tbb if tb_max is None else tb_max
     if tb_min > tb_max:

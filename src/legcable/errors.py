@@ -25,6 +25,10 @@ class MetadataInconsistent(EngineError):
     """Atlas metadata (tbb, width ceiling, thickness flag) disagrees."""
 
 
+class NotConfluent(EngineError):
+    """Two rewrite rules of one generator give one class two normal forms."""
+
+
 class UnsupportedKind(EngineError):
     """Unknown builtin atlas name."""
 

@@ -36,6 +36,13 @@ decide alike for both links; ``_isotopic_integer`` reads it from the
 component invariants, and so does ``permutation_realizable``, which searches
 no presentation.
 
+A third needs unique normal forms, which ``make_atlas`` proves.  Core: when
+a component of an integer link has tb above q, it is the core, and the
+stabilize moves that empty the core's vector reach a presentation fixed by
+the core's class and the invariant multiset; so two such links with equal
+multisets that do not meet have cores in distinct classes, and
+``_isotopic_integer`` answers them from the cores alone.
+
 Verdicts are three-valued; Unknown is returned exactly where the underlying
 classification is silent, with a reason naming the silent clause.
 """
@@ -448,7 +455,8 @@ def _push(atlas, u: LegClass, vec: StabVec, p: int) -> tuple[LegClass, StabVec]:
 
     S_+/-^p on every component is one S_+/- of the underlying class, so
     k+ = min a // p and k- = min b // p rounds go in at once, positive
-    first; normal forms are unique, so this equals pushing one at a time.
+    first; normal forms are unique (``make_atlas`` proves it), so this
+    equals pushing one at a time.
     ``u`` must be a normal form; it is returned as is when nothing pushes.
     """
     ka, kb = _fewest(vec, POS) // p, _fewest(vec, NEG) // p
@@ -666,11 +674,16 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
     # By the integer lemma the complete closures reach t = 0 exactly when
     # no component has tb above q; x's components stand for y's.
     if any(tb > x.q for _, tb in invs):
-        verdict = _compare_max_tb_components(atlas, x, y)
-        if verdict is not None:
-            return verdict
-        return Verdict.yes(
-            "maximal-tb components isotopic and the remaining invariants pair up"
+        # Only the core can lie above q: it does when t > a1 + b1, and ruling
+        # components sit at q - t - a - b <= q.  The a1 + b1 stabilize moves
+        # from the core take a link to (core class, t - a1 - b1, ((0, 0),) +
+        # rest'), where rest' is fixed by the ruling components' invariants,
+        # and as normal forms are unique that base is the core's normal form
+        # in whatever order the moves go.  So links with equal multisets and
+        # one core class meet, and the cores of closures that did not meet
+        # lie in distinct classes.
+        return _distinct_max_tb(
+            atlas, component_class(atlas, x, 1), component_class(atlas, y, 1)
         )
     px = set().union(*(_pattern_tags(s[2]) for s in cx if s[1] == 0))
     py = set().union(*(_pattern_tags(s[2]) for s in cy if s[1] == 0))
@@ -714,14 +727,16 @@ def _compare_max_tb_components(atlas, x: IntegerLink, y: IntegerLink) -> Optiona
         klass_x = component_class(atlas, x, ix + 1)
         klass_y = component_class(atlas, y, iy + 1)
         if not is_equal(atlas, klass_x, klass_y):
-            return Verdict.no(
-                "maximal-tb components lie in distinct Legendrian classes",
-                {
-                    "left": class_label(atlas, klass_x),
-                    "right": class_label(atlas, klass_y),
-                },
-            )
+            return _distinct_max_tb(atlas, klass_x, klass_y)
     return None
+
+
+def _distinct_max_tb(atlas, klass_x: LegClass, klass_y: LegClass) -> Verdict:
+    """NotIsotopic, naming two maximal-tb component classes that differ."""
+    return Verdict.no(
+        "maximal-tb components lie in distinct Legendrian classes",
+        {"left": class_label(atlas, klass_x), "right": class_label(atlas, klass_y)},
+    )
 
 
 def _surgery_between(atlas, c1: LegClass, c2: LegClass) -> str:

@@ -40,6 +40,7 @@ from legcable.errors import (
     InvariantMismatch,
     MalformedDocument,
     MetadataInconsistent,
+    NotConfluent,
     ParityViolation,
     TooManyRows,
     UnknownGenerator,
@@ -545,9 +546,17 @@ def test_class_rows_match_classes_at_tb_on_builtins(name, depth):
     assert class_rows(atlas, top + 1, top) == []
 
 
+def unproven_atlas(spec):
+    """The atlas of ``spec`` as ``make_atlas`` reads and validates it, without
+    the confluence proof, so that properties that hold with or without
+    confluence keep their non-confluent atlases."""
+    return atlas_module.validate_atlas(atlas_module._atlas_from_spec(spec))
+
+
 @st.composite
 def small_atlases(draw):
-    """Atlases of up to five generators with rule offsets of at most 2.
+    """Atlases of up to five generators with rule offsets of at most 2,
+    confluent or not.
 
     A rule drawn as named lands on the generator at its target invariants,
     which is added when there is none; other rules land on the generic class.
@@ -571,7 +580,7 @@ def small_atlases(draw):
                 dst = f"g{len(gens)}"
                 gens.append((dst, at))
         rules.append({"src": gid, "da": da, "db": db, "dst": dst or "generic"})
-    return make_atlas({
+    return unproven_atlas({
         "name": "random",
         "generators": [{"id": gid, "rot": rot, "tb": tb} for gid, (rot, tb) in gens],
         "rules": rules,
@@ -599,6 +608,81 @@ def test_class_rows_are_the_per_class_walk_on_random_atlases(atlas):
     assert_rows_are_the_per_class_walk(atlas, tb_min)
     assert_rows_are_the_per_class_walk(atlas, tb_min, atlas.tbb - 2)
     assert_mountain_range_counts_the_rows(atlas, tb_min)
+
+
+def proven(atlas):
+    try:
+        return atlas_module._check_confluent(atlas) is atlas
+    except NotConfluent:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_atlases())
+def test_proof_agrees_with_the_depth_8_sweep(atlas):
+    # offsets of at most 2 put every critical point within depth 4, so the
+    # sweep meets each pair that diverges, and finds nothing when none does
+    assert proven(atlas) == check_confluence(atlas).ok
+
+
+def test_every_builtin_is_proven_confluent():
+    # the family lemma of twist_even_atlas; surgery changes no rule
+    assert builtin_atlas("twist-even-4-surgery").rules == builtin_atlas("twist-even-4").rules
+    names = ["unknot", "k-minus-5"] + [
+        f"twist-even-{n}" for n in range(2, atlas_module.MAX_TWIST_EVEN + 1)]
+    assert [name for name in names if not proven(builtin_atlas(name))] == []
+
+
+def gens(*spots):
+    return [{"id": gid, "rot": rot, "tb": tb} for gid, rot, tb in spots]
+
+
+def rule(src, da, db, dst):
+    return {"src": src, "da": da, "db": db, "dst": dst}
+
+
+# Atlases whose rules give one class two normal forms, each with the message
+# make_atlas refuses it with: two rules of one source, their critical point
+# and the two normal forms there.
+NON_CONFLUENT = {
+    # P stabilized once is both R1 and R2, which mountain counted as 2
+    "two-targets": (
+        {"generators": gens(("P", 0, -1), ("R1", 1, -2), ("R2", 1, -2)),
+         "rules": [rule("P", 1, 0, "R1"), rule("P", 1, 0, "R2")], "tbb": -1},
+        "rules (P,1,0)->R1 and (P,1,0)->R2 of generator 'P' diverge at P+1-0: "
+        "normal forms R1 and R2"),
+    # the rule order decides whether g0+2-0 is g1+1-0 or generic, and
+    # isotopic answered not_isotopic where closure_equal found a path
+    "rule-order": (
+        {"generators": gens(("g0", 0, 1), ("g1", 1, 0)),
+         "rules": [rule("g0", 2, 0, "generic"), rule("g0", 1, 0, "g1"),
+                   rule("g0", 1, 2, "generic")], "tbb": 1, "width_ceiling": 1},
+        "rules (g0,2,0)->generic and (g0,1,0)->g1 of generator 'g0' diverge at g0+2-0: "
+        "normal forms (2,-1) and g1+1-0"),
+    # enumerate_nondestab_links listed a link over (1,-4) that the atlas
+    # does not hold, and make_integer_link refused it
+    "unheld-enumerated-base": (
+        {"generators": gens(("g0", 0, -1), ("g1", -1, -2)),
+         "rules": [rule("g0", 0, 1, "g1"), rule("g0", 2, 0, "generic")], "tbb": -1},
+        "rules (g0,0,1)->g1 and (g0,2,0)->generic of generator 'g0' diverge at g0+2-1: "
+        "normal forms g1+2-0 and (1,-4)"),
+    # integer_moves stepped onto a base (0,-3) that the atlas does not hold
+    "unheld-move-base": (
+        {"generators": gens(("g0", 0, -1), ("g1", 1, -2)),
+         "rules": [rule("g0", 1, 0, "g1"), rule("g0", 0, 1, "generic")], "tbb": -1},
+        "rules (g0,1,0)->g1 and (g0,0,1)->generic of generator 'g0' diverge at g0+1-1: "
+        "normal forms g1+0-1 and (0,-3)"),
+}
+
+
+@pytest.mark.parametrize("name", NON_CONFLUENT)
+def test_make_atlas_refuses_diverging_rules(name):
+    spec, message = NON_CONFLUENT[name]
+    with pytest.raises(NotConfluent) as refused:
+        make_atlas(spec)
+    assert str(refused.value) == message
+    # the records themselves are valid, and the oracle's sweep agrees
+    assert not check_confluence(unproven_atlas(spec)).ok
 
 
 @settings(max_examples=150, deadline=None)
@@ -887,7 +971,7 @@ def named_atlases(draw):
     spec["sigma_minus"] = draw(st.lists(ids, max_size=3))
     spec["uniformly_thick"] = draw(st.booleans())
     spec["both_signs_determined"] = draw(st.booleans())
-    return make_atlas(spec)
+    return unproven_atlas(spec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -895,7 +979,8 @@ def named_atlases(draw):
 def test_atlas_json_text_is_the_stdlib_dump(atlas):
     text = atlas_to_json_str(atlas)
     assert text == json.dumps(atlas_to_json(atlas), sort_keys=True, indent=2) + "\n"
-    assert make_atlas(json.loads(text)) == atlas
+    # read back as make_atlas reads it; the proof has its own tests
+    assert unproven_atlas(json.loads(text)) == atlas
 
 
 # The class records as the frozen dataclasses they used to be.

@@ -16,6 +16,7 @@ from legcable import atlas_to_json, atlas_to_json_str, builtin_atlas
 from legcable import cli, selfcheck
 from legcable.errors import UnsupportedKind
 from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
+from test_atlas import NON_CONFLUENT
 from test_golden_cli import CASES
 
 
@@ -145,6 +146,20 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(spec).replace('"HUGE"', "1e999"))
     code, out, err = run_cli(capsys, "peaks", "--atlas", str(path))
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    # rules that give one class two normal forms: one error line naming the pair
+    nc, nc2 = tmp_path / "nc.json", tmp_path / "nc2.json"
+    for path, name in ((nc, "two-targets"), (nc2, "rule-order")):
+        path.write_text(json.dumps(NON_CONFLUENT[name][0]))
+    pair = ('{"regime":"greater","p":2,"q":5,"n":3,"base":{"class":{"gen":"g0"}},'
+            '"vec":[[4,4],[5,4],[7,4]]}',
+            '{"regime":"greater","p":2,"q":5,"n":3,"base":{"class":{"gen":"g1"}},'
+            '"vec":[[2,4],[3,4],[5,4]]}')
+    for argv, name in (
+        (("mountain", "--atlas", str(nc), "--tb-min", "-3"), "two-targets"),
+        (("isotopic", "--atlas", str(nc2), *pair), "rule-order"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {NON_CONFLUENT[name][1]}\n"), argv
     # a count flag below 1 is a usage error, not a vacuous pass or an unknown
     code, out, _ = run_cli(capsys, "isotopic", "--atlas", "twist-even-2", *INTEGER_TWIN)
     assert code == EXIT_OK and json.loads(out)["verdict"] == "isotopic"

@@ -39,8 +39,8 @@ from legcable import (
 )
 from legcable import atlas as atlas_module
 from legcable import links as links_module
-from legcable.errors import WrongRegime
-from test_atlas import count_normalize, small_atlases
+from legcable.errors import NotConfluent, WrongRegime
+from test_atlas import NON_CONFLUENT, count_normalize, proven, small_atlases, unproven_atlas
 from test_verdict_sites import thick_atlases
 
 BUILTINS = (
@@ -218,6 +218,10 @@ def test_destabilization_results_do_not_share_the_table():
 # -- the decider's meeting search ----------------------------------------------
 
 
+# the reason of the reference's clause that the decider no longer has
+PAIR_UP = "maximal-tb components isotopic and the remaining invariants pair up"
+
+
 def two_closure_isotopic_integer(atlas, x, y, node_cap):
     """``links._isotopic_integer`` as it was with two full closures."""
     invs = links_module._inv_multiset(atlas, x)
@@ -269,6 +273,20 @@ def two_closure_isotopic_integer(atlas, x, y, node_cap):
     )
 
 
+def test_the_deleted_core_clause_needs_unique_normal_forms():
+    # on rules that give g0+2-0 two normal forms, two stabilizations of g0 at
+    # once reach (2,-1) and one at a time reach g1+1-0, so links whose cores
+    # normalize alike need not meet; make_atlas refuses the rules
+    spec, _ = NON_CONFLUENT["rule-order"]
+    atlas = unproven_atlas(spec)
+    x = make_integer_link(atlas, Named("g0"), 2, 3, ((2, 0), (0, 0)))
+    y = make_integer_link(atlas, Generic(2, -1), 2, 1, ((0, 0), (0, 2)))
+    assert two_closure_isotopic_integer(atlas, x, y, 4000).reason == PAIR_UP
+    assert component_class(atlas, x, 1) == component_class(atlas, y, 1) == Generic(2, -1)
+    with pytest.raises(NotConfluent):
+        atlas_module.make_atlas(spec)
+
+
 def link_at(atlas, state):
     L, t, vec = state
     return make_integer_link(atlas, L, len(vec), t, vec)
@@ -316,6 +334,11 @@ def assert_meeting_search_matches(atlas, x, y):
     for cap in sorted(caps):
         got = isotopic(atlas, x, y, node_cap=cap)
         want = two_closure_isotopic_integer(atlas, x, y, cap)
+        if want.reason == PAIR_UP:
+            # the clause the decider no longer has, which unique normal
+            # forms rule out: only rules that make_atlas refuses reach it
+            assert not proven(atlas), (x, y, cap)
+            continue
         assert (got.kind, got.reason, got.witness) == (want.kind, want.reason, want.witness), (
             x, y, cap)
         sy = links_module.int_state(atlas, y.L, y.t, y.vec)

@@ -44,7 +44,7 @@ from legcable import oracle as oracle_module
 from legcable.cables import greater_base_invariants, lesser_base_invariants
 from legcable.errors import BudgetExceeded, KindMismatch, WrongRegime
 from legcable.selfcheck import check_oracle_agreement
-from test_atlas import small_atlases
+from test_atlas import small_atlases, unproven_atlas
 
 # brute-force builder and greedy builder of each kind of range
 RANGES = {
@@ -162,8 +162,8 @@ def test_check_confluence_builtins_clean():
 
 def divergent_atlas():
     # one trigger, two persistent targets: the normal form depends on the
-    # rule order, which confluence checking must flag
-    return make_atlas(
+    # rule order, which confluence checking must flag; make_atlas refuses it
+    return unproven_atlas(
         {
             "name": "divergent",
             "generators": [

@@ -23,6 +23,8 @@ lattice points, and for exactly one stabilized n-copy, are not in
 searches no presentation; ``test_lesser_identity_is_the_full_comparison``
 and ``test_permutation_realizable_matches_the_search`` hold the two to the
 comparison and the search they replace.
+``test_tag_sets_of_disjoint_closures_can_differ`` pins why the stabilization
+tag clauses of ``_isotopic_integer`` ask both closures.
 """
 
 import ast
@@ -55,12 +57,14 @@ from legcable import (
     is_equal,
     isotopic,
     link_label,
+    make_atlas,
     make_greater_link,
     make_integer_link,
     make_lesser_link,
     permutation_realizable,
 )
 from legcable.atlas import ceil_div
+from legcable import links as links_module
 from legcable.links import ISOTOPIC, NOT_ISOTOPIC, UNKNOWN, integer_closure, integer_moves
 from test_atlas import small_atlases
 
@@ -136,7 +140,7 @@ class Row(NamedTuple):
     kind: str  # the verdict the witness gets at this site
     atlas: str
     call: str  # "isotopic", "permute" or "closure_equal"
-    args: Optional[tuple]  # labels, then a permutation; None: no witness yet
+    args: tuple  # labels, then a permutation
     witness: Optional[dict] = None  # the verdict's own witness
     other: Optional[str] = None  # the other side's verdict; None: it cannot decide
     limits: Optional[dict] = None  # keyword arguments of the call: node_cap or budget
@@ -160,7 +164,7 @@ ROWS = [
     Row("_isotopic_greater", "same cone over the minimal underlying knot, equal invariants", YES,
         "twist-even-2", "isotopic", ("P1_2(2,3)[+2-0,+3-0]", "R1_2(2,3)[+0-0,+1-0]"),
         lr("R1_2(2,3)[+0-0,+1-0]", "R1_2(2,3)[+0-0,+1-0]"), YES),
-    # -- _isotopic_integer and _compare_max_tb_components
+    # -- _isotopic_integer and _distinct_max_tb
     Row("_isotopic_integer", "component invariant multisets differ", NO,
         "unknot", "isotopic", ("T^0(1.U)[+0-0]", "T^0(1.U)[+1-0]"), None, NO),
     Row("_isotopic_integer", "single components are the same class", YES,
@@ -173,12 +177,6 @@ ROWS = [
     Row("_isotopic_integer", "presentation search exceeded its node budget", MAYBE,
         "twist-even-2", "isotopic", ("T^1(2.R1)[+1-0,+0-0]", "T^0(2.R1+1-0)[+0-0,+0-1]"),
         None, YES, limits={"node_cap": 1}),
-    # Unreachable while normal forms are unique: two complete closures
-    # without t = 0 states whose maximal-tb components match meet.  Waits on
-    # the confluence proof of ROADMAP item 4 to be argued away or witnessed.
-    Row("_isotopic_integer",
-        "maximal-tb components isotopic and the remaining invariants pair up", YES,
-        "twist-even-2", "isotopic", None),
     Row("_isotopic_integer",
         "one-signed stabilizations of n-copies with isotopic maximal-tb components", YES,
         "k-minus-5", "isotopic", ("T^0(2.A)[+1-0,+1-0]", "T^0(2.B)[+1-0,+1-0]"), None, MAYBE),
@@ -198,7 +196,7 @@ ROWS = [
         "stabilization pattern of the n-copy presentations is not covered by the "
         "integer-slope classification", MAYBE,
         "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+1-1]", "T^0(2.B)[+0-0,+1-1]"), None, MAYBE),
-    Row("_compare_max_tb_components", "maximal-tb components lie in distinct Legendrian classes",
+    Row("_distinct_max_tb", "maximal-tb components lie in distinct Legendrian classes",
         NO, "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+0-0]", "T^0(2.B)[+0-0,+0-0]"),
         lr("A", "B"), MAYBE),
     # -- _isotopic_lesser
@@ -340,29 +338,24 @@ def test_rows_and_sites_match_one_to_one():
     assert Counter((f, r) for f, r, _, _ in SITES) == Counter((r.function, r.reason) for r in ROWS)
 
 
-@pytest.mark.parametrize("row", [r for r in ROWS if r.args], ids=[
-    i for i, r in zip(ROW_IDS, ROWS) if r.args])
+@pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 def test_witness_reaches_its_site(row, reached):
     verdict = run_witness(row)
     assert [site_at(*call)[:2] for call in reached] == [(row.function, row.reason)]
     assert (verdict.kind, verdict.reason, verdict.witness) == (row.kind, row.reason, row.witness)
 
 
-def test_rows_reach_every_site_but_the_waiting_one(reached):
+def test_rows_reach_every_site(reached):
     hit = set()
     for row in ROWS:
-        if row.args:
-            reached.clear()
-            run_witness(row)
-            hit.update(site_at(*call) for call in reached)
-    waiting = [s for s in SITES if s not in hit]
-    assert [(f, r) for f, r, _, _ in waiting] == [
-        (r.function, r.reason) for r in ROWS if r.args is None
-    ]
+        reached.clear()
+        run_witness(row)
+        hit.update(site_at(*call) for call in reached)
+    assert [s for s in SITES if s not in hit] == []
 
 
-@pytest.mark.parametrize("row", [r for r in ROWS if r.args and r.call != "permute"], ids=[
-    i for i, r in zip(ROW_IDS, ROWS) if r.args and r.call != "permute"])
+@pytest.mark.parametrize("row", [r for r in ROWS if r.call != "permute"], ids=[
+    i for i, r in zip(ROW_IDS, ROWS) if r.call != "permute"])
 def test_decider_and_oracle_agree_where_both_are_conclusive(row):
     other = other_side(row)
     assert other == row.other
@@ -372,7 +365,7 @@ def test_decider_and_oracle_agree_where_both_are_conclusive(row):
 
 def test_labels_round_trip():
     for row in ROWS:
-        if row.args and row.call != "closure_equal":
+        if row.call != "closure_equal":
             atlas = builtin_atlas(row.atlas)
             labels = [a for a in row.args if isinstance(a, str)]
             assert [link_label(atlas, parse_link(atlas, a)) for a in labels] == labels
@@ -473,6 +466,26 @@ def test_integer_lemma(atlas, n, t, data):
         if complete:
             top = max(tb for _, tb in component_invariants(atlas, link))
             assert any(s[1] == 0 for s in states) == (top <= link.q)
+
+
+def test_tag_sets_of_disjoint_closures_can_differ():
+    """The tag clauses of ``_isotopic_integer`` ask both closures.  With two
+    peaks of one tb at rots 0 and 2, the 2-copy of one stabilized positively
+    and of the other negatively have equal multisets and complete, disjoint
+    closures at t = 0, but one is tagged plus and the other minus, so no
+    one-signed clause applies."""
+    atlas = make_atlas({"generators": [{"id": "g0", "rot": 0, "tb": -1},
+                                       {"id": "g1", "rot": 2, "tb": -1}], "tbb": -1})
+    x = make_integer_link(atlas, Named("g0"), 2, 0, ((1, 0), (1, 0)))
+    y = make_integer_link(atlas, Named("g1"), 2, 0, ((0, 1), (0, 1)))
+    (cx, okx), (cy, oky) = (integer_closure(atlas, link) for link in (x, y))
+    assert okx and oky and not cx & cy
+    tags = [set().union(*(links_module._pattern_tags(s[2]) for s in c if s[1] == 0)) for c in (cx, cy)]
+    assert tags == [{"plus"}, {"minus"}]
+    verdict = isotopic(atlas, x, y)
+    assert (verdict.kind, verdict.reason) == (
+        UNKNOWN, "stabilization pattern of the n-copy presentations is not covered by the "
+        "integer-slope classification")
 
 
 def searched_permutation_realizable(atlas, link, perm, node_cap=4000):
