@@ -16,13 +16,16 @@ stabilizations through normal forms, and the integer decider reads classes
 off normal forms; all three are exact because of it.  The oracle's
 ``check_confluence`` samples it to a fixed depth as an independent check.
 
-``class_rows`` walks each stabilization cone once.  A row's Generic classes
-are one set of rot values, and the next row's are those rots moved by +1 and
--1, plus the rot of every Generic that a stabilized Named normal form
-rewrites to; only the Named forms go through the rules.  A Generic's
-stabilization is the Generic one lattice step down whatever the rules, so
-this is the walk that stabilizes every class of a row one at a time, on any
-rules.
+``class_rows`` and ``mountain_range`` read one walk, ``_rows``, which walks
+each stabilization cone once.  A row's Generic classes are one set of rot
+values, and the next row's are those rots moved by +1 and -1, plus the rot
+of every Generic that a stabilized Named normal form rewrites to; only the
+Named forms go through the rules.  A Generic's stabilization is the Generic
+one lattice step down whatever the rules, so this is the walk that
+stabilizes every class of a row one at a time, on any rules.  The walk
+yields a row as its sorted Named forms and sorted Generic rots:
+``class_rows`` builds a Generic per rot, and ``mountain_range`` counts
+points and labels straight from the rots.
 
 Every value record is a ``typing.NamedTuple``, none built by
 ``dataclasses``: Named, Generic, RotTb, Generator and RewriteRule here, and
@@ -616,43 +619,53 @@ def class_rows(
     stabilization cone: row tb - 1 is the set of stabilize(c, +1) and
     stabilize(c, -1) for the classes c of row tb, plus Named(g) for every
     generator g with g.tb = tb - 1 (a normal form, as every rule needs a
-    stabilization).  The walk keeps a row's Generic classes as one set of rot
-    values: their stabilizations are the rots r + 1 and r - 1, and only the
-    row's Named normal forms go through the rules, adding the rot of every
-    Generic they reach.  That is the per-class walk, one rot at a time, so
-    the two give the same rows on any rules, and as normal forms are unique
-    (``make_atlas`` proves it) both equal ``classes_at_tb``.  Each row is
-    sorted by ``class_key``: its Named forms, then its Generic classes by
-    rot.  Empty when tb_min lies above the top row; TooManyRows when there
-    would be more than MAX_ROWS rows.
+    stabilization).  The rows come from ``_rows``, the one walk, as its
+    Named forms followed by a Generic per rot; that walk is the per-class
+    one, so the two give the same rows on any rules, and as normal forms are
+    unique (``make_atlas`` proves it) both equal ``classes_at_tb``.  Each
+    row is sorted by ``class_key``: its Named forms, then its Generic
+    classes by rot.  Empty when tb_min lies above the top row; TooManyRows
+    when there would be more than MAX_ROWS rows.
     """
     tb_max = atlas.tbb if tb_max is None else tb_max
     if tb_min > tb_max:
         return []
     check_rows(tb_max, tb_min)
+    return [
+        (tb, named + [Generic(r, tb) for r in rots])
+        for tb, named, rots in _rows(atlas, tb_min, tb_max)
+    ]
+
+
+def _rows(
+    atlas: KnotAtlas, tb_min: int, tb_max: int
+) -> Iterator[tuple[int, list[Named], list[int]]]:
+    """(tb, Named forms, Generic rots) of each row from tb_max down to tb_min,
+    both sorted as ``class_key`` sorts them: the rot-set walk of the module
+    docstring.  The caller checks the number of rows."""
     row = classes_at_tb(atlas, tb_max)
-    rows = [(tb_max, row)]
     named = [c for c in row if isinstance(c, Named)]
-    rots = {c.rot for c in row if isinstance(c, Generic)}
+    rots = [c.rot for c in row if isinstance(c, Generic)]
+    yield tb_max, named, rots
     order = atlas._order
     born: dict[int, list[LegClass]] = {}
     for g in atlas.generators:
         if tb_min <= g.tb < tb_max:
             born.setdefault(g.tb, []).append(Named(g.id))
     for tb in range(tb_max - 1, tb_min - 1, -1):
-        rots = {r + 1 for r in rots} | {r - 1 for r in rots}
         found = set(born.get(tb, ()))
+        reached = {r + 1 for r in rots} | {r - 1 for r in rots}
         for gen, plus, minus in named:
             for c in (normalize(atlas, Named(gen, plus + 1, minus)),
                       normalize(atlas, Named(gen, plus, minus + 1))):
                 if isinstance(c, Named):
                     found.add(c)
                 else:
-                    rots.add(c.rot)
+                    reached.add(c.rot)
         # sorted, never in set order: the row is the same under every hash seed
         named = sorted(found, key=lambda c: (order[c.gen], c.plus, c.minus))
-        rows.append((tb, named + [Generic(r, tb) for r in sorted(rots)]))
-    return rows
+        rots = sorted(reached)
+        yield tb, named, rots
 
 
 def classes_at(atlas: KnotAtlas, rot: int, tb: int) -> list[LegClass]:
@@ -676,22 +689,23 @@ def peaks(atlas: KnotAtlas) -> list[Generator]:
 def mountain_range(atlas: KnotAtlas, tb_min: int) -> MountainRange:
     """Multiplicities of distinct classes per (rot, tb) down to tb_min.
 
-    The classes of ``class_rows`` go to ``mountain.tally`` with their points
-    and labels, in row order, so the labels of a point keep generator order
-    (P1, P2, ..., P10, not string order), and the range is truncated exactly
-    when its cutoff row is occupied.
+    The rows of ``_rows`` go to ``mountain.tally`` as (point, label) pairs,
+    each row's Named forms first and then its Generic rots, with no class
+    record built for a Generic.  That is the row order of ``class_rows``, so
+    the labels of a point keep generator order (P1, P2, ..., P10, not string
+    order), and the range is truncated exactly when its cutoff row is
+    occupied.
     """
     check_cutoff(tb_min, atlas.tbb)
     by_id = atlas._by_id
 
     def labelled():
-        for tb, row in class_rows(atlas, tb_min):
-            for c in row:
-                if isinstance(c, Named):
-                    g = by_id[c.gen]
-                    yield (g.rot + c.plus - c.minus, tb), named_label(g.name, c.plus, c.minus)
-                else:
-                    yield (c.rot, tb), f"({c.rot},{tb})"
+        for tb, named, rots in _rows(atlas, tb_min, atlas.tbb):
+            for gen, plus, minus in named:
+                g = by_id[gen]
+                yield (g.rot + plus - minus, tb), named_label(g.name, plus, minus)
+            for r in rots:
+                yield (r, tb), f"({r},{tb})"
 
     return tally(labelled(), tb_min)
 

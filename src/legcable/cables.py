@@ -108,7 +108,7 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
         for _, row in class_rows(atlas, floor)
         for u in row
     ]
-    return tally(sorted(_stabilized(cells, tb_min)), tb_min)
+    return tally(_stabilized(cells, tb_min), tb_min, sort_labels=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Moun
         for tb_u in range(window - 1, floor - 1, -1)
         for u in rows[tb_u]
     ]
-    return tally(sorted(_stabilized(cells, tb_min)), tb_min)
+    return tally(_stabilized(cells, tb_min), tb_min, sort_labels=True)
 
 
 def window_classes(atlas: KnotAtlas, p: int, q: int) -> list[LegClass]:

@@ -44,7 +44,10 @@ multisets that do not meet have cores in distinct classes, and
 ``_isotopic_integer`` answers them from the cores alone.
 
 Verdicts are three-valued; Unknown is returned exactly where the underlying
-classification is silent, with a reason naming the silent clause.
+classification is silent, with a reason naming the silent clause.  Before
+an integer-slope Unknown the component classes are compared: an isotopy
+carries components to components, so links with no matching of equal
+classes are not isotopic.
 """
 
 from __future__ import annotations
@@ -670,7 +673,9 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
     if met is not None:
         return Verdict.yes("common twisted-copy presentation found")
     if not okx or not oky:
-        return Verdict.maybe("presentation search exceeded its node budget")
+        return _components_differ(atlas, x, y) or Verdict.maybe(
+            "presentation search exceeded its node budget"
+        )
     # By the integer lemma the complete closures reach t = 0 exactly when
     # no component has tb above q; x's components stand for y's.
     if any(tb > x.q for _, tb in invs):
@@ -705,14 +710,23 @@ def _isotopic_integer(atlas, x: IntegerLink, y: IntegerLink, node_cap: int) -> V
                 "every component stabilized both ways; this atlas records such "
                 "links as determined by classical invariants"
             )
-        return Verdict.maybe(
+        return _components_differ(atlas, x, y) or Verdict.maybe(
             "every component stabilized both positively and negatively over a "
             "maximal-slope n-copy; the classification is silent for this atlas"
         )
-    return Verdict.maybe(
+    return _components_differ(atlas, x, y) or Verdict.maybe(
         "stabilization pattern of the n-copy presentations is not covered by "
         "the integer-slope classification"
     )
+
+
+def _components_differ(atlas, x: IntegerLink, y: IntegerLink) -> Optional[Verdict]:
+    """NotIsotopic when no matching of components pairs equal classes, else
+    None.  An isotopy carries components to components, so this holds however
+    the presentation searches ended; each integer Unknown asks it first."""
+    if componentwise_isotopic(atlas, x, y):
+        return None
+    return Verdict.no("no matching of the components pairs equal Legendrian classes")
 
 
 def _compare_max_tb_components(atlas, x: IntegerLink, y: IntegerLink) -> Optional[Verdict]:

@@ -10,9 +10,9 @@ Point = tuple[int, int]
 
 # The most tb rows a range, an enumeration or a class listing walks, its top
 # row included.  Work grows with the square of the depth: at the limit a
-# builtin mountain takes about 0.4 s to count and 0.4-0.85 s as a CLI request
-# with its output, and an integer-slope enumerate (126k links) about 1.1 s
-# on a 2-vCPU host.  Deeper requests raise TooManyRows.
+# builtin mountain takes about 0.25-0.35 s to count and 0.35-0.75 s as a CLI
+# request with its output, and an integer-slope enumerate (126k links) about
+# 1.1 s on a 2-vCPU host.  Deeper requests raise TooManyRows.
 MAX_ROWS = 500
 
 
@@ -91,14 +91,17 @@ def from_counts(
     return MountainRange(entries, tb_min, labels, truncated)
 
 
-def tally(labelled: Iterable[tuple[Point, str]], tb_min: int) -> MountainRange:
+def tally(
+    labelled: Iterable[tuple[Point, str]], tb_min: int, sort_labels: bool = False
+) -> MountainRange:
     """Count labelled (rot, tb) points at or above ``tb_min`` into a range.
 
-    Each pair is one class at one point, and the labels of a point keep the
-    order the pairs arrive in.  Three ranges count here: ``atlas.mountain_range``
-    passes its classes in row order, so a point's labels keep generator order,
-    and ``cables.cable_mountain_range`` and ``cables.lesser_mountain_range``
-    pass their pairs sorted.
+    Each pair is one class at one point.  The labels of a point keep the
+    order the pairs arrive in, or string order with ``sort_labels``.  Three
+    ranges count here: ``atlas.mountain_range`` passes its classes in row
+    order, so a point's labels keep generator order, and
+    ``cables.cable_mountain_range`` and ``cables.lesser_mountain_range`` pass
+    theirs in cell order and sort each point's labels once counted.
     """
     names: dict[Point, list[str]] = {}
     for point, label in labelled:
@@ -108,8 +111,9 @@ def tally(labelled: Iterable[tuple[Point, str]], tb_min: int) -> MountainRange:
                 names[point] = [label]
             else:
                 found.append(label)
+    order = sorted if sort_labels else tuple
     return from_counts(
         {pt: len(ls) for pt, ls in names.items()},
         tb_min,
-        {pt: tuple(ls) for pt, ls in names.items()},
+        {pt: tuple(order(ls)) for pt, ls in names.items()},
     )

@@ -6,6 +6,10 @@ all three are byte-deterministic for a fixed input.  The JSON text equals
 ``json.dumps(doc, sort_keys=True, indent=2)`` of the document described in
 ``json_mountain``, written without the standard library's indenting encoder,
 which runs in pure Python.
+
+Each renderer makes one pass over its rows or points, and none reads the
+order of a range's dicts: ASCII looks cells up by row, and SVG and JSON sort
+the points once.
 """
 
 from __future__ import annotations
@@ -25,26 +29,28 @@ MAX_COLUMNS = 2001
 
 def ascii_mountain(mr: MountainRange) -> str:
     """tb rows descending, rot columns centered at 0, '.' for empty cells."""
-    if not mr.entries:
+    entries = mr.entries
+    if not entries:
         raise EmptyRange("mountain range has no entries")
-    t_max = max(t for _, t in mr.entries)
-    r_max = max(abs(r) for r, _ in mr.entries)
+    t_max = max(t for _, t in entries)
+    r_max = max(abs(r) for r, _ in entries)
     if 2 * r_max + 1 > MAX_COLUMNS:
         raise TooWide(
             f"{2 * r_max + 1} rot columns from rot={-r_max} to rot={r_max}; "
             f"at most {MAX_COLUMNS} are drawn"
         )
-    width = max(len(str(m)) for m in mr.entries.values())
+    width = max(len(str(m)) for m in entries.values())
     rots = range(-r_max, r_max + 1)
+    cells: dict[int, dict[int, str]] = {}
+    for (r, t), m in entries.items():
+        cells.setdefault(t, {})[r] = str(m).rjust(width)
+    empty = ".".rjust(width)
     lines = []
     for t in range(t_max, mr.tb_min - 1, -1):
-        cells = []
-        for r in rots:
-            m = mr.entries.get((r, t))
-            cells.append(str(m).rjust(width) if m else ".".rjust(width))
-        lines.append(f"tb={t:>4} | " + " ".join(cells))
+        row = cells.get(t, {})
+        lines.append(f"tb={t:>4} | " + " ".join([row.get(r, empty) for r in rots]))
     if mr.truncated:
-        lines.append(" " * 8 + "| " + " ".join("~".rjust(width) for _ in rots))
+        lines.append(" " * 8 + "| " + " ".join(["~".rjust(width)] * len(rots)))
     marker = [" ".rjust(width) if r else "0".rjust(width) for r in rots]
     lines.append(" " * 8 + "  " + " ".join(marker) + "   (rot)")
     return "\n".join(lines) + "\n"
@@ -59,18 +65,27 @@ def json_mountain(mr: MountainRange) -> str:
     the string encoder that ``json.dumps`` uses, so escaping is unchanged.
     """
     entries, labels = mr.entries, mr.labels
+    points = mr.points()
     blocks = [
         f'{{\n      "multiplicity": {entries[pt]},\n'
         f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
-        for pt in mr.points()
+        for pt in points
     ]
     parts = ['{\n  "entries": ', json_array(blocks, "  "), ",\n"]
     if labels:
+        if labels.keys() != entries.keys():
+            points = sorted(labels, key=lambda pt: (-pt[1], pt[0]))
         blocks = []
-        for pt in sorted(labels, key=lambda pt: (-pt[1], pt[0])):
-            names = list(map(encode_basestring_ascii, labels[pt]))
+        for pt in points:
+            names = labels[pt]
+            classes = "[]"
+            if names:
+                classes = (
+                    "[\n        " + ",\n        ".join(map(encode_basestring_ascii, names))
+                    + "\n      ]"
+                )
             blocks.append(
-                f'{{\n      "classes": {json_array(names, "      ")},\n'
+                f'{{\n      "classes": {classes},\n'
                 f'      "rot": {pt[0]},\n      "tb": {pt[1]}\n    }}'
             )
         parts += ['  "labels": ', json_array(blocks, "  "), ",\n"]
@@ -127,28 +142,22 @@ _SCALE = 28
 _MARGIN = 48
 
 
-def _coords(mr: MountainRange, extra_points=()) -> tuple:
-    pts = list(mr.entries) + [p for ov in extra_points for p in ov.points]
-    r_max = max(abs(r) for r, _ in pts)
-    t_max = max(t for _, t in pts)
-    t_min = min(min(t for _, t in pts), mr.tb_min)
-
-    def xy(r, t):
-        x = _MARGIN + (r + r_max) * _SCALE
-        y = _MARGIN + (t_max - t) * _SCALE
-        return x, y
-
-    width = 2 * _MARGIN + 2 * r_max * _SCALE
-    height = 2 * _MARGIN + (t_max - t_min) * _SCALE
-    return xy, width, height
-
-
 def svg_mountain(mr: MountainRange, overlays=None) -> str:
-    """SVG 1.1 subset (lines, circles, text); markers carry their lattice data."""
+    """SVG 1.1 subset (lines, circles, text); markers carry their lattice data.
+
+    (x0, y0) is where the lattice point (0, 0) falls on the canvas.
+    """
     if not mr.entries:
         raise EmptyRange("mountain range has no entries")
     overlays = list(overlays or [])
-    xy, width, height = _coords(mr, overlays)
+    pts = list(mr.entries) + [p for ov in overlays for p in ov.points]
+    r_max = max(abs(r) for r, _ in pts)
+    t_max = max(t for _, t in pts)
+    t_min = min(min(t for _, t in pts), mr.tb_min)
+    x0 = _MARGIN + r_max * _SCALE
+    y0 = _MARGIN + t_max * _SCALE
+    width = 2 * x0
+    height = 2 * _MARGIN + (t_max - t_min) * _SCALE
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -156,34 +165,29 @@ def svg_mountain(mr: MountainRange, overlays=None) -> str:
         f'viewBox="0 0 {width} {height}">',
     ]
     for ov in overlays:
-        pts = [xy(r, t) for r, t in ov.points]
-        if ov.closed:
-            pts.append(pts[0])
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            out.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="firebrick" stroke-width="1"/>'
-            )
-        for (r, t), label in zip(ov.points, ov.labels):
-            if not label:
-                continue
-            x, y = xy(r, t)
-            out.append(
-                f'<text x="{x + 8}" y="{y - 8}" font-size="10" '
-                f'fill="firebrick">{label}</text>'
-            )
-    for (r, t) in mr.points():
-        m = mr.entries[(r, t)]
-        x, y = xy(r, t)
+        xys = [(x0 + r * _SCALE, y0 - t * _SCALE) for r, t in ov.points]
+        ends = xys + xys[:1] if ov.closed else xys
+        out += [
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="firebrick" stroke-width="1"/>'
+            for (x1, y1), (x2, y2) in zip(ends, ends[1:])
+        ]
+        out += [
+            f'<text x="{x + 8}" y="{y - 8}" font-size="10" fill="firebrick">{label}</text>'
+            for (x, y), label in zip(xys, ov.labels)
+            if label
+        ]
+    entries = mr.entries
+    for r, t in mr.points():
+        m = entries[(r, t)]
+        x, y = x0 + r * _SCALE, y0 - t * _SCALE
         out.append(
             f'<circle cx="{x}" cy="{y}" r="7" fill="white" stroke="black" '
-            f'stroke-width="1" data-rot="{r}" data-tb="{t}" data-mult="{m}"/>'
-        )
-        out.append(
+            f'stroke-width="1" data-rot="{r}" data-tb="{t}" data-mult="{m}"/>\n'
             f'<text x="{x}" y="{y + 3}" font-size="9" text-anchor="middle">{m}</text>'
         )
     if mr.truncated:
-        x, y = xy(0, mr.tb_min)
+        x, y = x0, y0 - mr.tb_min * _SCALE
         out.append(
             f'<text x="{x}" y="{y + _SCALE - 6}" font-size="12" '
             f'text-anchor="middle">&#8942;</text>'

@@ -295,25 +295,21 @@ def _lesser_slopes(atlas):
     return out
 
 
-def _sample_greater(rng, atlas, n, p, q):
-    pool = _sample_classes(atlas, levels=2, per_level=4)
+def _sample_greater(rng, pool, atlas, n, p, q):
     u = rng.choice(pool)
     vec = tuple((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(n))
     return make_greater_link(atlas, u, n, p, q, vec)
 
 
-def _sample_integer(rng, atlas, n, q):
-    pool = []
-    for tb in range(q, atlas.tbb + 1):
-        pool += classes_at_tb(atlas, tb)
+def _sample_integer(rng, pool, atlas, n, q):
     L = rng.choice(pool)
     t = invariants(atlas, L).tb - q
     vec = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n))
     return make_integer_link(atlas, L, n, t, vec)
 
 
-def _sample_lesser(rng, atlas, n, p, q):
-    w = rng.choice(window_classes(atlas, p, q))
+def _sample_lesser(rng, pool, atlas, n, p, q):
+    w = rng.choice(pool)
     sign = rng.choice((POS, NEG))
     vec = tuple((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(n))
     return make_lesser_link(atlas, w, sign, n, p, q, vec)
@@ -372,6 +368,17 @@ def check_oracle_agreement(samples: int = 500) -> CheckResult:
                 f"{link_label(atlas, l1)} / {link_label(atlas, l2)}"
             )
 
+    # Each sampling pool is built on first use and kept for the gate's run:
+    # the greater classes per atlas, the integer rows per atlas and q, the
+    # lesser window per atlas and slope.  Building one calls no rng.
+    pools: dict = {}
+
+    def pool(key, build):
+        found = pools.get(key)
+        if found is None:
+            found = pools[key] = build()
+        return found
+
     rng = random.Random(20250808)
     greater_atlases = [builtin_atlas(n) for n in BUILTINS]
     lesser_atlases = [
@@ -382,31 +389,36 @@ def check_oracle_agreement(samples: int = 500) -> CheckResult:
         atlas = rng.choice(greater_atlases)
         n = rng.randint(1, 3)
         p, q = rng.choice(_greater_slopes(atlas))
-        l1 = _sample_greater(rng, atlas, n, p, q)
+        classes = pool(("greater", atlas.name),
+                       lambda: _sample_classes(atlas, levels=2, per_level=4))
+        l1 = _sample_greater(rng, classes, atlas, n, p, q)
         if count % 3 == 0:
             l1, l2 = _representation_twin(atlas, l1)
         else:
-            l2 = _sample_greater(rng, atlas, n, p, q)
+            l2 = _sample_greater(rng, classes, atlas, n, p, q)
         compare(atlas, l1, l2, "greater")
 
         atlas = rng.choice(greater_atlases)
         n = rng.randint(1, 3)
         q = atlas.tbb - rng.randint(0, 2)
-        l1 = _sample_integer(rng, atlas, n, q)
+        rows = pool(("integer", atlas.name, q), lambda: [
+            c for tb in range(q, atlas.tbb + 1) for c in classes_at_tb(atlas, tb)])
+        l1 = _sample_integer(rng, rows, atlas, n, q)
         if count % 3 == 0 and l1.t >= 1:
             l1, l2 = _representation_twin(atlas, l1)
         else:
-            l2 = _sample_integer(rng, atlas, n, q)
+            l2 = _sample_integer(rng, rows, atlas, n, q)
         compare(atlas, l1, l2, "integer")
 
         atlas = rng.choice(lesser_atlases)
         n = rng.randint(1, 3)
         p, q = rng.choice(_lesser_slopes(atlas))
-        l1 = _sample_lesser(rng, atlas, n, p, q)
+        window = pool(("lesser", atlas.name, p, q), lambda: window_classes(atlas, p, q))
+        l1 = _sample_lesser(rng, window, atlas, n, p, q)
         if count % 3 == 0:
             l1, l2 = _representation_twin(atlas, l1)
         else:
-            l2 = _sample_lesser(rng, atlas, n, p, q)
+            l2 = _sample_lesser(rng, window, atlas, n, p, q)
         compare(atlas, l1, l2, "lesser")
 
     # a regime that was never compared must not read as agreement

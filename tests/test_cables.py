@@ -4,6 +4,8 @@ A cable knot is a 1-component cable link, so the knot cases run on the
 n = 1 link API.
 """
 
+from math import gcd
+
 import pytest
 
 from legcable import (
@@ -37,6 +39,8 @@ from legcable.errors import (
     WrongRegime,
     WrongWindow,
 )
+from legcable import cables as cables_module
+from legcable.mountain import tally
 from legcable.oracle import brute_cable_mountain_range
 
 
@@ -179,6 +183,46 @@ def test_cable_ranges_reject_a_cutoff_above_the_peak_row():
     assert lesser_mountain_range(tw2, 2, -3, -6).total() == 6  # two per window class
     with pytest.raises(CutoffAbovePeak, match="above the peak row tb=-6"):
         lesser_mountain_range(tw2, 2, -3, -5)
+
+
+# The slopes that cable-mountain requests of the perfbench ranges workload
+# draw: greater twist and k-minus-5 slopes, then the lesser ones.
+RANGE_SLOPES = (
+    ((2, 3), (3, 4), (2, 5), (3, 5))
+    + tuple((p, q) for p in (2, 3) for q in range(-3 * p + 1, -3 * p + 8) if gcd(p, q) == 1)
+    + ((2, -3), (3, -4), (2, -5), (2, -7), (3, -10), (2, -9), (2, 1))
+)
+RANGE_ATLASES = (
+    "unknot", "k-minus-5", "twist-even-2", "twist-even-3", "twist-even-4", "twist-even-8",
+    "twist-even-2-surgery",
+)
+
+
+def test_cable_labels_are_sorted_per_point_as_the_global_sort_left_them(monkeypatch):
+    """Each point's labels are sorted and distinct, and the ranges equal those
+    of the builders that sorted every labelled point before counting."""
+    cases = {}
+    for name in RANGE_ATLASES:
+        atlas = builtin_atlas(name)
+        for p, q in RANGE_SLOPES:
+            kind = regime(atlas, p, q)
+            if kind is Regime.GREATER:
+                build, peak = cable_mountain_range, p * q - (q - p * atlas.tbb)
+            elif kind is Regime.NONINTEGER_LESSER:
+                build, peak = lesser_mountain_range, p * q
+            else:
+                continue
+            for depth in range(15):
+                key = (build, name, p, q, peak - depth)
+                cases[key] = build(atlas, p, q, peak - depth)
+    assert {key[0] for key in cases} == {cable_mountain_range, lesser_mountain_range}
+    for mr in cases.values():
+        assert all(list(labels) == sorted(set(labels)) for labels in mr.labels.values())
+    # the builders as they were: every labelled point sorted, then counted
+    monkeypatch.setattr(cables_module, "tally",
+                        lambda labelled, tb_min, sort_labels: tally(sorted(labelled), tb_min))
+    for (build, name, p, q, tb_min), mr in cases.items():
+        assert build(builtin_atlas(name), p, q, tb_min) == mr, (name, p, q, tb_min)
 
 
 def test_cable_mountain_range_wrong_regime():

@@ -30,6 +30,7 @@ from legcable import (
     classes_at_tb,
     component_class,
     component_invariants,
+    componentwise_isotopic,
     invariants,
     is_equal,
     isotopic,
@@ -236,7 +237,7 @@ def two_closure_isotopic_integer(atlas, x, y, node_cap):
     if cx & cy:
         return Verdict.yes("common twisted-copy presentation found")
     if not okx or not oky:
-        return Verdict.maybe("presentation search exceeded its node budget")
+        return unknown(atlas, x, y, "presentation search exceeded its node budget")
     if any(tb > x.q for _, tb in invs):
         verdict = links_module._compare_max_tb_components(atlas, x, y)
         if verdict is not None:
@@ -263,14 +264,24 @@ def two_closure_isotopic_integer(atlas, x, y, node_cap):
                 "every component stabilized both ways; this atlas records such "
                 "links as determined by classical invariants"
             )
-        return Verdict.maybe(
+        return unknown(
+            atlas, x, y,
             "every component stabilized both positively and negatively over a "
             "maximal-slope n-copy; the classification is silent for this atlas"
         )
-    return Verdict.maybe(
+    return unknown(
+        atlas, x, y,
         "stabilization pattern of the n-copy presentations is not covered by "
         "the integer-slope classification"
     )
+
+
+def unknown(atlas, x, y, reason):
+    """Unknown with ``reason``, unless no bijection of components matches
+    their classes: an isotopy carries components to components."""
+    if not componentwise_isotopic(atlas, x, y):
+        return Verdict.no("no matching of the components pairs equal Legendrian classes")
+    return Verdict.maybe(reason)
 
 
 def test_the_deleted_core_clause_needs_unique_normal_forms():

@@ -164,7 +164,7 @@ ROWS = [
     Row("_isotopic_greater", "same cone over the minimal underlying knot, equal invariants", YES,
         "twist-even-2", "isotopic", ("P1_2(2,3)[+2-0,+3-0]", "R1_2(2,3)[+0-0,+1-0]"),
         lr("R1_2(2,3)[+0-0,+1-0]", "R1_2(2,3)[+0-0,+1-0]"), YES),
-    # -- _isotopic_integer and _distinct_max_tb
+    # -- _isotopic_integer, _components_differ and _distinct_max_tb
     Row("_isotopic_integer", "component invariant multisets differ", NO,
         "unknot", "isotopic", ("T^0(1.U)[+0-0]", "T^0(1.U)[+1-0]"), None, NO),
     Row("_isotopic_integer", "single components are the same class", YES,
@@ -195,7 +195,10 @@ ROWS = [
     Row("_isotopic_integer",
         "stabilization pattern of the n-copy presentations is not covered by the "
         "integer-slope classification", MAYBE,
-        "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+1-1]", "T^0(2.B)[+0-0,+1-1]"), None, MAYBE),
+        "k-minus-5", "isotopic", ("T^0(2.A)[+0-1,+1-1]", "T^0(2.B)[+0-1,+1-1]"), None, MAYBE),
+    Row("_components_differ", "no matching of the components pairs equal Legendrian classes",
+        NO, "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+1-1]", "T^0(2.B)[+0-0,+1-1]"),
+        None, MAYBE),
     Row("_distinct_max_tb", "maximal-tb components lie in distinct Legendrian classes",
         NO, "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+0-0]", "T^0(2.B)[+0-0,+0-0]"),
         lr("A", "B"), MAYBE),
@@ -473,7 +476,8 @@ def test_tag_sets_of_disjoint_closures_can_differ():
     peaks of one tb at rots 0 and 2, the 2-copy of one stabilized positively
     and of the other negatively have equal multisets and complete, disjoint
     closures at t = 0, but one is tagged plus and the other minus, so no
-    one-signed clause applies."""
+    one-signed clause applies.  Their components g0+1-0 and g1+0-1 are
+    distinct classes, so the decider answers from them instead of Unknown."""
     atlas = make_atlas({"generators": [{"id": "g0", "rot": 0, "tb": -1},
                                        {"id": "g1", "rot": 2, "tb": -1}], "tbb": -1})
     x = make_integer_link(atlas, Named("g0"), 2, 0, ((1, 0), (1, 0)))
@@ -484,8 +488,7 @@ def test_tag_sets_of_disjoint_closures_can_differ():
     assert tags == [{"plus"}, {"minus"}]
     verdict = isotopic(atlas, x, y)
     assert (verdict.kind, verdict.reason) == (
-        UNKNOWN, "stabilization pattern of the n-copy presentations is not covered by the "
-        "integer-slope classification")
+        NO, "no matching of the components pairs equal Legendrian classes")
 
 
 def searched_permutation_realizable(atlas, link, perm, node_cap=4000):
