@@ -8,7 +8,7 @@ Generic(rot, tb), a class determined by its invariants alone.  Equality of
 classes is equality of rewrite normal forms; every rule strictly decreases
 a + b, so normalization terminates.  Normal forms are unique (the rules are
 confluent): ``make_atlas`` proves it for every atlas document by the finite
-critical-pair check of ``_check_confluent`` and raises NotConfluent
+critical-pair check of ``_check_confluent`` and raises InvalidAtlas
 otherwise, and the builtins are confluent by the family lemma of
 ``twist_even_atlas``, which a test checks.  ``class_rows`` builds each
 row from the stabilizations of the row above, canonicalization pushes
@@ -58,18 +58,7 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import (
-    DOCUMENT_ERRORS,
-    DuplicateId,
-    InvariantMismatch,
-    MetadataInconsistent,
-    NotConfluent,
-    ParityViolation,
-    UnknownGenerator,
-    UnsupportedKind,
-    checked,
-    malformed,
-)
+from .errors import DOCUMENT_ERRORS, InvalidAtlas, OutOfRange, UnknownName, checked, malformed
 from .mountain import MountainRange, check_cutoff, check_rows, tally
 from .render import json_array
 
@@ -212,7 +201,7 @@ class KnotAtlas:
         try:
             return self._by_id[gid]
         except KeyError:
-            raise UnknownGenerator(f"atlas {self.name!r} has no generator {gid!r}")
+            raise UnknownName("unknown-generator", f"atlas {self.name!r} has no generator {gid!r}")
 
     def rules_for(self, gid: str) -> list[RewriteRule]:
         return self._rules_by_src.get(gid, [])
@@ -293,59 +282,69 @@ def validate_atlas(atlas: KnotAtlas) -> KnotAtlas:
         seen = set()
         for g in gens:
             if g.id in seen:
-                raise DuplicateId(f"generator id {g.id!r} appears twice")
+                raise InvalidAtlas("duplicate-id", f"generator id {g.id!r} appears twice")
             seen.add(g.id)
     for g in gens:
         if (g.rot + g.tb) % 2 == 0:
-            raise ParityViolation(f"generator {g.id!r} has even rot + tb = {g.rot + g.tb}")
+            raise InvalidAtlas(
+                "generator-parity", f"generator {g.id!r} has even rot + tb = {g.rot + g.tb}"
+            )
 
     for rule in atlas.rules:
         src, da, db, dst = rule.src, rule.da, rule.db, rule.dst
         s = by_id.get(src)
         if s is None:
-            raise UnknownGenerator(f"rule source {src!r} is not a generator")
+            raise InvalidAtlas("dangling-generator", f"rule source {src!r} is not a generator")
         if da < 0 or db < 0 or da + db < 1:
-            raise InvariantMismatch(f"rule ({src},{da},{db}) needs da,db >= 0, da+db >= 1")
+            raise InvalidAtlas(
+                "rule-counts", f"rule ({src},{da},{db}) needs da,db >= 0, da+db >= 1"
+            )
         if dst is not None:
             d = by_id.get(dst)
             if d is None:
-                raise UnknownGenerator(f"rule target {dst!r} is not a generator")
+                raise InvalidAtlas("dangling-generator", f"rule target {dst!r} is not a generator")
             if d.rot != s.rot + da - db or d.tb != s.tb - da - db:
-                raise InvariantMismatch(
+                raise InvalidAtlas(
+                    "rule-invariants",
                     f"rule ({src},{da},{db})->{dst}: target invariants {(d.rot, d.tb)} "
                     f"differ from {(s.rot + da - db, s.tb - da - db)}"
                 )
 
     if not gens:
-        raise InvariantMismatch("an atlas needs at least one generator")
+        raise InvalidAtlas("no-generators", "an atlas needs at least one generator")
     tbb, width_ceiling = atlas.tbb, atlas.width_ceiling
     top = max(g.tb for g in gens)
     if tbb != top:
-        raise MetadataInconsistent(f"tbb={tbb} but the maximal generator tb is {top}")
+        raise InvalidAtlas("metadata-mismatch", f"tbb={tbb} but the maximal generator tb is {top}")
     if atlas.uniformly_thick and width_ceiling != tbb:
-        raise MetadataInconsistent(
+        raise InvalidAtlas(
+            "metadata-mismatch",
             f"uniformly thick atlases must have width_ceiling == tbb, "
             f"got {width_ceiling} != {tbb}"
         )
     if width_ceiling < tbb:
-        raise MetadataInconsistent(f"width_ceiling {width_ceiling} below tbb {tbb}")
+        raise InvalidAtlas("metadata-mismatch", f"width_ceiling {width_ceiling} below tbb {tbb}")
 
     for a, b, value in atlas.surgery_distinct:
         if a not in by_id or b not in by_id:
             entry = {"a": a, "b": b, "value": value}
-            raise UnknownGenerator(f"surgery_distinct names unknown generator in {entry}")
+            raise InvalidAtlas(
+                "dangling-generator", f"surgery_distinct names unknown generator in {entry}"
+            )
         if value not in SURGERY_VALUES:
-            raise InvariantMismatch(f"surgery_distinct value {value!r} not in {SURGERY_VALUES}")
+            raise InvalidAtlas(
+                "surgery-value", f"surgery_distinct value {value!r} not in {SURGERY_VALUES}"
+            )
 
     for sig in ("sigma_plus", "sigma_minus"):
         for gid in getattr(atlas, sig):
             if gid not in by_id:
-                raise UnknownGenerator(f"{sig} names unknown generator {gid!r}")
+                raise InvalidAtlas("dangling-generator", f"{sig} names unknown generator {gid!r}")
     return atlas
 
 
 def _check_confluent(atlas: KnotAtlas) -> KnotAtlas:
-    """``atlas``, if every class has one rewrite normal form; else NotConfluent.
+    """``atlas``, if every class has one rewrite normal form; else InvalidAtlas.
 
     Every rule lowers a + b, so rewriting terminates, and every rewrite is
     at the root and still applies after further stabilizations, which it
@@ -367,7 +366,8 @@ def _check_confluent(atlas: KnotAtlas) -> KnotAtlas:
             ]
             if forms[0] != forms[1]:
                 rule1, rule2 = (f"({r.src},{r.da},{r.db})->{r.dst or 'generic'}" for r in (r1, r2))
-                raise NotConfluent(
+                raise InvalidAtlas(
+                    "not-confluent",
                     f"rules {rule1} and {rule2} of generator {src!r} diverge at "
                     f"{class_label(atlas, point)}: normal forms "
                     f"{class_label(atlas, forms[0])} and {class_label(atlas, forms[1])}"
@@ -402,7 +402,7 @@ def twist_even_atlas(n: int, surgery: bool = False) -> KnotAtlas:
     through ``validate_atlas`` as a document's records do.
     """
     if n < 2:
-        raise UnsupportedKind(f"twist-even atlas needs n >= 2, got {n}")
+        raise UnknownName("unknown-atlas", f"twist-even atlas needs n >= 2, got {n}")
     l = ceil_div(n * n, 2)
     k = ceil_div(n, 2)
     ps = [f"P{i}" for i in range(1, l + 1)]
@@ -471,7 +471,7 @@ def k_minus_5_atlas() -> KnotAtlas:
 
 # The largest N of a builtin twist-even-N atlas.  The build grows as N^2 and
 # its surgery relation as N^4 (twist-even-48-surgery: 1.2-3.5 s and 240-450
-# MB on a 2-vCPU host); a larger name raises UnsupportedKind instead of
+# MB on a 2-vCPU host); a larger name raises UnknownName instead of
 # running for minutes.
 MAX_TWIST_EVEN = 48
 
@@ -491,12 +491,13 @@ def builtin_atlas(kind: str) -> KnotAtlas:
         if rest.isdecimal():
             # the length first: int() of a long numeral is slow or refused
             if len(rest) > 4 or int(rest) > MAX_TWIST_EVEN:
-                raise UnsupportedKind(
+                raise UnknownName(
+                    "unknown-atlas",
                     f"builtin twist-even-N atlases have N <= {MAX_TWIST_EVEN}, got {kind!r}"
                 )
             if int(rest) >= 2:
                 return twist_even_atlas(int(rest), surgery)
-    raise UnsupportedKind(f"no builtin atlas named {kind!r}")
+    raise UnknownName("unknown-atlas", f"no builtin atlas named {kind!r}")
 
 
 BUILTIN_NAMES = ("unknot", "k-minus-5", "twist-even-2", "twist-even-3", "twist-even-4")
@@ -524,7 +525,7 @@ def normalize(atlas: KnotAtlas, c: LegClass) -> LegClass:
         gen, plus, minus = c
         rules = rules_by_src.get(gen)
         if rules is None:
-            atlas.generator(gen)  # raises UnknownGenerator
+            atlas.generator(gen)  # raises UnknownName
         for rule in rules:
             if plus >= rule.da and minus >= rule.db:
                 if rule.dst is None:
@@ -538,11 +539,11 @@ def normalize(atlas: KnotAtlas, c: LegClass) -> LegClass:
 
 
 def check_stabilization(sign: int, count: int) -> None:
-    """Raise InvariantMismatch unless sign is +1 or -1 and count >= 0."""
+    """Raise OutOfRange unless sign is +1 or -1 and count >= 0."""
     if sign not in (POS, NEG):
-        raise InvariantMismatch(f"sign must be +1 or -1, got {sign!r}")
+        raise OutOfRange("bad-stabilization", f"sign must be +1 or -1, got {sign!r}")
     if count < 0:
-        raise InvariantMismatch(f"count must be >= 0, got {count}")
+        raise OutOfRange("bad-stabilization", f"count must be >= 0, got {count}")
 
 
 def stabilize(atlas: KnotAtlas, c: LegClass, sign: int, count: int = 1) -> LegClass:
@@ -624,7 +625,7 @@ def class_rows(
     one, so the two give the same rows on any rules, and as normal forms are
     unique (``make_atlas`` proves it) both equal ``classes_at_tb``.  Each
     row is sorted by ``class_key``: its Named forms, then its Generic
-    classes by rot.  Empty when tb_min lies above the top row; TooManyRows
+    classes by rot.  Empty when tb_min lies above the top row; OutOfRange
     when there would be more than MAX_ROWS rows.
     """
     tb_max = atlas.tbb if tb_max is None else tb_max

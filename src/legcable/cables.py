@@ -37,7 +37,7 @@ from .atlas import (
     invariants,
     named_label,
 )
-from .errors import NotReduced, WrongRegime
+from .errors import WrongRegime
 from .mountain import MountainRange, check_cutoff, tally
 
 
@@ -48,14 +48,10 @@ class Regime(Enum):
     UNSUPPORTED_WINDOW = "unsupported-window"
 
 
-def check_slope(p: int, q: int) -> None:
-    if p < 1 or gcd(p, q) != 1:
-        raise NotReduced(f"slope ({p},{q}) must have p >= 1 and gcd(p,q) = 1")
-
-
 def regime(atlas: KnotAtlas, p: int, q: int) -> Regime:
     """Classify the cabling slope q/p against the atlas metadata."""
-    check_slope(p, q)
+    if p < 1 or gcd(p, q) != 1:
+        raise WrongRegime("unreduced-slope", f"slope ({p},{q}) must have p >= 1 and gcd(p,q) = 1")
     if q > p * atlas.width_ceiling:
         return Regime.GREATER
     if p == 1 and q <= atlas.tbb:
@@ -97,7 +93,7 @@ def cable_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Mount
     of its unstabilized cable.
     """
     if regime(atlas, p, q) is not Regime.GREATER:
-        raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
+        raise WrongRegime("not-greater", f"({p},{q}) is not a greater slope for {atlas.name}")
     # The peak row holds the cables of the classes at tbb.
     check_cutoff(tb_min, p * q - (q - p * atlas.tbb))
     # Underlying classes with tb_u below this floor cannot reach tb_min even
@@ -150,7 +146,10 @@ def lesser_mountain_range(atlas: KnotAtlas, p: int, q: int, tb_min: int) -> Moun
     classes per window class.
     """
     if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
-        raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
+        raise WrongRegime(
+            "not-noninteger-lesser",
+            f"({p},{q}) is not a non-integer lesser slope for {atlas.name}"
+        )
     check_cutoff(tb_min, p * q)
     th0, th1 = lesser_thresholds(atlas, p, q)
     window = ceil_div(q, p)

@@ -30,7 +30,7 @@ from .atlas import (
     peaks,
 )
 from .cables import Regime, cable_mountain_range, lesser_mountain_range, regime
-from .errors import EngineError, MalformedDocument, UnsupportedKind, WrongRegime
+from .errors import EngineError, MalformedDocument, UnknownName, WrongRegime
 from .links import (
     component_invariants,
     componentwise_isotopic,
@@ -51,7 +51,7 @@ EXIT_INTERNAL = 3
 def load_atlas(spec: str):
     try:
         return builtin_atlas(spec)
-    except UnsupportedKind:
+    except UnknownName:
         pass
     path = Path(spec)
     try:
@@ -65,7 +65,8 @@ def load_atlas(spec: str):
         shown = repr(spec)
         if len(shown) > 80:
             shown = shown[:80] + "..."  # a long value shows only its start
-        raise UnsupportedKind(
+        raise UnknownName(
+            "unknown-atlas",
             f"{shown} is neither a builtin atlas ({', '.join(BUILTIN_NAMES)}, "
             f"twist-even-N[-surgery] for 2 <= N <= {MAX_TWIST_EVEN}) nor an atlas JSON file"
         )
@@ -77,7 +78,7 @@ def _read_json(text: str, what: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedDocument(f"malformed {what}: {exc}") from None
+        raise MalformedDocument("bad-json", f"malformed {what}: {exc}") from None
 
 
 def _load_link_doc(atlas, text: str, vec_override: str | None = None):
@@ -233,6 +234,7 @@ def _dispatch(args) -> int:
             mr = lesser_mountain_range(atlas, args.p, args.q, args.tb_min)
         else:
             raise WrongRegime(
+                "no-range-for-slope",
                 f"slope ({args.p},{args.q}) is {reg.value}; ranges are drawn for greater "
                 "and non-integer lesser slopes (use 'enumerate' for integer slopes)"
             )

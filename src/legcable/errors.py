@@ -1,76 +1,54 @@
 """Exception types shared across the engine.
 
-Every error raised on purpose derives from EngineError so callers (and the
-CLI) can separate engine-level validation failures from genuine bugs.
+Every error raised on purpose is an EngineError, so callers (and the CLI)
+can separate engine-level validation failures from genuine bugs.  There are
+five classes, one per thing the caller must fix, and every raise names a
+stable kebab-case ``code``; ``str(exc)`` is the message alone.  The codes:
+
+MalformedDocument: missing-field, bad-field, bad-json, not-an-object.
+InvalidAtlas: duplicate-id, generator-parity, dangling-generator,
+    rule-counts, rule-invariants, no-generators, metadata-mismatch,
+    surgery-value, not-confluent.
+UnknownName: unknown-atlas, unknown-generator, class-not-held.
+WrongRegime: unreduced-slope, not-greater, not-integer-lesser,
+    not-noninteger-lesser, negative-twist, unsupported-window,
+    no-range-for-slope, wrong-window, divide-sign, unknown-form,
+    inconsistent-slope, unknown-regime, link-mismatch,
+    unsearchable-object, kind-mismatch.
+OutOfRange: cutoff-above-peak, too-many-rows, too-wide, empty-range,
+    component-count, vector-length, negative-count, bad-index,
+    not-a-permutation, budget-exceeded, bad-multiplicity, entry-parity,
+    bad-stabilization.
 """
 
 
 class EngineError(Exception):
-    """Base class for all engine errors."""
+    """Base class of engine errors, built as ``Kind(code, message)``; both stay in ``args``."""
 
+    code = property(lambda self: self.args[0])
 
-class DuplicateId(EngineError):
-    """Two generators in one atlas share an id."""
-
-
-class InvariantMismatch(EngineError):
-    """A rewrite rule or constructed value violates (rot, tb) bookkeeping."""
-
-
-class ParityViolation(EngineError):
-    """rot + tb must be odd for every class handled by this engine."""
-
-
-class MetadataInconsistent(EngineError):
-    """Atlas metadata (tbb, width ceiling, thickness flag) disagrees."""
-
-
-class NotConfluent(EngineError):
-    """Two rewrite rules of one generator give one class two normal forms."""
-
-
-class UnsupportedKind(EngineError):
-    """Unknown builtin atlas name."""
-
-
-class UnknownGenerator(EngineError):
-    """A class refers to a generator id the atlas does not define."""
-
-
-class CutoffAbovePeak(EngineError):
-    """Mountain-range cutoff lies above the atlas peak row."""
-
-
-class TooManyRows(EngineError):
-    """A range or a class listing would walk more rows than ``mountain.MAX_ROWS``."""
-
-
-class TooWide(EngineError):
-    """An ASCII grid would have more rot columns than ``render.MAX_COLUMNS``."""
-
-
-class NotReduced(EngineError):
-    """Cabling slope (p, q) must satisfy p >= 1 and gcd(p, q) == 1."""
-
-
-class WrongRegime(EngineError):
-    """Operation called with a slope outside its regime."""
-
-
-class WrongWindow(EngineError):
-    """Lesser-cable base class does not sit at tb = ceil(q/p)."""
-
-
-class RegimeMismatch(EngineError):
-    """Links compared across regimes, slopes, or component counts."""
-
-
-class LengthMismatch(EngineError):
-    """Stabilization vector length differs from the component count."""
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 class MalformedDocument(EngineError):
     """A link, class or atlas document lacks a field or has one of the wrong type."""
+
+
+class InvalidAtlas(EngineError):
+    """An atlas's records disagree with one another or with its metadata."""
+
+
+class UnknownName(EngineError):
+    """A builtin atlas, generator or class that the atlas does not define."""
+
+
+class WrongRegime(EngineError):
+    """A slope, lesser form or object outside the regime the operation takes."""
+
+
+class OutOfRange(EngineError):
+    """A cutoff, count, index, size or budget past what the operation allows."""
 
 
 # What reading a field of a parsed JSON document raises when the field is
@@ -81,8 +59,8 @@ DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 def malformed(what: str, exc: Exception) -> MalformedDocument:
     """The MalformedDocument for one of DOCUMENT_ERRORS raised reading ``what``."""
     if isinstance(exc, KeyError):
-        return MalformedDocument(f"{what} has no field {exc}")
-    return MalformedDocument(f"malformed {what}: {exc}")
+        return MalformedDocument("missing-field", f"{what} has no field {exc}")
+    return MalformedDocument("bad-field", f"malformed {what}: {exc}")
 
 
 def checked(value, kind: type, field: str):
@@ -92,30 +70,3 @@ def checked(value, kind: type, field: str):
         noun = "boolean" if kind is bool else "integer"
         raise TypeError(f"{field} must be a JSON {noun}, got {value!r}")
     return value
-
-
-class BadIndex(EngineError):
-    """Component index out of range."""
-
-
-class NotAPermutation(EngineError):
-    """Sequence passed as a permutation is not one."""
-
-
-class KindMismatch(EngineError):
-    """Oracle asked to compare objects of different kinds or slope data."""
-
-
-class BudgetExceeded(EngineError):
-    """Search budget exhausted before the answer was certain."""
-
-
-class EmptyRange(EngineError):
-    """Renderer called on a mountain range with no entries."""
-
-
-class InvalidMultiplicity(EngineError):
-    """A mountain-range entry has multiplicity below 1."""
-
-    def __init__(self, rot: int, tb: int, mult: int) -> None:
-        super().__init__(f"multiplicity {mult} at ({rot}, {tb}) must be >= 1")

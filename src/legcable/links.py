@@ -89,21 +89,17 @@ from .cables import (
     window_classes,
 )
 from .errors import (
-    BadIndex,
     DOCUMENT_ERRORS,
-    InvariantMismatch,
-    LengthMismatch,
     MalformedDocument,
-    NotAPermutation,
-    RegimeMismatch,
+    OutOfRange,
+    UnknownName,
     WrongRegime,
-    WrongWindow,
     checked,
     malformed,
 )
 
 # The most components a link may have.  Every link path is linear in the
-# count, so a document or flag asking for more raises LengthMismatch before
+# count, so a document or flag asking for more raises OutOfRange before
 # any vector is built.
 MAX_COMPONENTS = 1000
 
@@ -220,9 +216,11 @@ Link = Union[GreaterLink, IntegerLink, LesserLink]
 def _check_vec(vec, n: int) -> StabVec:
     """The validated vector of an n-component link; None means all zeros."""
     if n < 1:
-        raise LengthMismatch(f"a link needs at least one component, got n={n}")
+        raise OutOfRange("component-count", f"a link needs at least one component, got n={n}")
     if n > MAX_COMPONENTS:
-        raise LengthMismatch(f"a link has at most {MAX_COMPONENTS} components, got n={n}")
+        raise OutOfRange(
+            "component-count", f"a link has at most {MAX_COMPONENTS} components, got n={n}"
+        )
     if vec is None:
         return ((0, 0),) * n
     try:
@@ -230,12 +228,14 @@ def _check_vec(vec, n: int) -> StabVec:
     except DOCUMENT_ERRORS as exc:
         raise malformed("stabilization vector", exc) from None
     if len(out) != n:
-        raise LengthMismatch(f"vector has {len(out)} entries for {n} components")
+        raise OutOfRange("vector-length", f"vector has {len(out)} entries for {n} components")
     for a, b in out:
         if type(a) is not int or type(b) is not int:  # errors.checked, inlined
-            raise MalformedDocument(f"malformed stabilization vector: {out} holds a non-integer")
+            raise MalformedDocument(
+                "bad-field", f"malformed stabilization vector: {out} holds a non-integer"
+            )
         if a < 0 or b < 0:
-            raise LengthMismatch(f"stabilization counts must be nonnegative: {out}")
+            raise OutOfRange("negative-count", f"stabilization counts must be nonnegative: {out}")
     return out
 
 
@@ -244,15 +244,18 @@ def _check_vec(vec, n: int) -> StabVec:
 
 
 def _check_held(atlas, c: LegClass) -> None:
-    """Raise InvariantMismatch if ``c`` is a Generic the atlas does not hold."""
-    if isinstance(c, Generic) and not holds(atlas, c):
-        raise InvariantMismatch(f"{class_label(atlas, c)} is not a class of {atlas.name}")
+    """Raise UnknownName if ``c`` is a Generic the atlas does not hold or a
+    Named with a negative stabilization count."""
+    if not (holds(atlas, c) if isinstance(c, Generic) else c.plus >= 0 and c.minus >= 0):
+        raise UnknownName(
+            "class-not-held", f"{class_label(atlas, c)} is not a class of {atlas.name}"
+        )
 
 
 def make_greater_link(atlas, u: LegClass, n: int, p: int, q: int, vec=None) -> GreaterLink:
     _check_held(atlas, u)
     if regime(atlas, p, q) is not Regime.GREATER:
-        raise WrongRegime(f"({p},{q}) is not a greater slope for {atlas.name}")
+        raise WrongRegime("not-greater", f"({p},{q}) is not a greater slope for {atlas.name}")
     return GreaterLink(normalize(atlas, u), n, p, q, _check_vec(vec, n))
 
 
@@ -260,11 +263,13 @@ def make_integer_link(atlas, L: LegClass, n: int, t: int, vec=None) -> IntegerLi
     """The t-twisted n-copy of L (see IntegerLink), stabilized by ``vec``."""
     _check_held(atlas, L)
     if t < 0:
-        raise WrongRegime(f"twisted copy needs t >= 0, got t={t}")
+        raise WrongRegime("negative-twist", f"twisted copy needs t >= 0, got t={t}")
     L = normalize(atlas, L)
     q = invariants(atlas, L).tb - t
     if regime(atlas, 1, q) is not Regime.INTEGER_LESSER:
-        raise WrongRegime(f"(1,{q}) is not an integer lesser slope for {atlas.name}")
+        raise WrongRegime(
+            "not-integer-lesser", f"(1,{q}) is not an integer lesser slope for {atlas.name}"
+        )
     return IntegerLink(L, n, t, q, _check_vec(vec, n))
 
 
@@ -273,21 +278,26 @@ def make_lesser_link(
 ) -> LesserLink:
     _check_held(atlas, base)
     if regime(atlas, p, q) is not Regime.NONINTEGER_LESSER:
-        raise WrongRegime(f"({p},{q}) is not a non-integer lesser slope for {atlas.name}")
+        raise WrongRegime(
+            "not-noninteger-lesser",
+            f"({p},{q}) is not a non-integer lesser slope for {atlas.name}"
+        )
     base = normalize(atlas, base)
     _, tb = invariants(atlas, base)
     window = ceil_div(q, p)
     if form == DIVIDE:
         if tb != window:
-            raise WrongWindow(f"divide-form base tb={tb}, window is tb={window}")
+            raise WrongRegime("wrong-window", f"divide-form base tb={tb}, window is tb={window}")
         if sign not in (POS, NEG):
-            raise WrongWindow(f"divide form needs sign +1 or -1, got {sign!r}")
+            raise WrongRegime("divide-sign", f"divide form needs sign +1 or -1, got {sign!r}")
     elif form == RULING:
         if tb > window:
-            raise WrongWindow(f"ruling-form base tb={tb} above the window tb={window}")
+            raise WrongRegime(
+                "wrong-window", f"ruling-form base tb={tb} above the window tb={window}"
+            )
         sign = 0
     else:
-        raise WrongWindow(f"unknown lesser form {form!r}")
+        raise WrongRegime("unknown-form", f"unknown lesser form {form!r}")
     return LesserLink(form, base, sign, n, p, q, _check_vec(vec, n))
 
 
@@ -300,7 +310,9 @@ _RULING_SIGNS = {**_SIGNS, "0": 0, 0: 0}
 def _parse_sign(value, form: str) -> int:
     signs = _RULING_SIGNS if form == RULING else _SIGNS
     if type(value) not in (str, int) or value not in signs:
-        raise MalformedDocument(f"malformed link document: bad sign {value!r} for form {form!r}")
+        raise MalformedDocument(
+            "bad-field", f"malformed link document: bad sign {value!r} for form {form!r}"
+        )
     return signs[value]
 
 
@@ -309,10 +321,12 @@ def make_link(atlas, doc: dict) -> Link:
 
     A document that is not an object, or lacks or mistypes a field, raises
     MalformedDocument; a ``Generic`` base class that is not a class of the
-    atlas raises InvariantMismatch.
+    atlas raises UnknownName.
     """
     if not isinstance(doc, dict):
-        raise MalformedDocument(f"a link document is a JSON object, not {type(doc).__name__}")
+        raise MalformedDocument(
+            "not-an-object", f"a link document is a JSON object, not {type(doc).__name__}"
+        )
     try:
         reg = str(doc["regime"])
         n = checked(doc["n"], int, "n")
@@ -330,15 +344,17 @@ def make_link(atlas, doc: dict) -> Link:
         return make_greater_link(atlas, cls, n, p, q, vec)
     if reg == Regime.INTEGER_LESSER.value:
         if p != 1:
-            raise RegimeMismatch(f"an integer-lesser link has p = 1, got p={p}")
+            raise WrongRegime("inconsistent-slope", f"an integer-lesser link has p = 1, got p={p}")
         if tb - t != q:
-            raise RegimeMismatch(f"base tb={tb} with t={t} does not give slope q={q}")
+            raise WrongRegime(
+                "inconsistent-slope", f"base tb={tb} with t={t} does not give slope q={q}"
+            )
         return make_integer_link(atlas, cls, n, t, vec)
     if reg == Regime.NONINTEGER_LESSER.value:
         form = str(base.get("form", DIVIDE))
         sign = _parse_sign(base.get("sign", "+"), form)
         return make_lesser_link(atlas, cls, sign, n, p, q, vec, form=form)
-    raise RegimeMismatch(f"unknown regime {reg!r}")
+    raise WrongRegime("unknown-regime", f"unknown regime {reg!r}")
 
 
 def link_to_json(atlas, link: Link) -> dict:
@@ -398,7 +414,7 @@ def component_invariants(atlas, link: Link) -> list[RotTb]:
 def _component(link: Link, c: int) -> tuple[int, int]:
     """The stabilization counts of component ``c`` (1-based)."""
     if not 1 <= c <= link.n:
-        raise BadIndex(f"component {c} of a link with {link.n} components")
+        raise OutOfRange("bad-index", f"component {c} of a link with {link.n} components")
     return link.vec[c - 1]
 
 
@@ -612,11 +628,13 @@ def _pattern_tags(vec: StabVec) -> set[str]:
 
 def _require_comparable(link1: Link, link2: Link) -> None:
     if type(link1) is not type(link2):
-        raise RegimeMismatch(f"{type(link1).__name__} vs {type(link2).__name__}")
+        raise WrongRegime("link-mismatch", f"{type(link1).__name__} vs {type(link2).__name__}")
     if link1.n != link2.n:
-        raise RegimeMismatch(f"{link1.n} vs {link2.n} components")
+        raise WrongRegime("link-mismatch", f"{link1.n} vs {link2.n} components")
     if (link1.p, link1.q) != (link2.p, link2.q):
-        raise RegimeMismatch(f"slopes {(link1.p, link1.q)} vs {(link2.p, link2.q)} differ")
+        raise WrongRegime(
+            "link-mismatch", f"slopes {(link1.p, link1.q)} vs {(link2.p, link2.q)} differ"
+        )
 
 
 def isotopic(atlas, link1: Link, link2: Link, node_cap: int = 4000) -> Verdict:
@@ -829,7 +847,7 @@ def permutation_realizable(atlas, link: Link, perm) -> Verdict:
     n = link.n
     sigma = [int(v) for v in perm]
     if sorted(sigma) != list(range(1, n + 1)):
-        raise NotAPermutation(f"{perm!r} is not a permutation of 1..{n}")
+        raise OutOfRange("not-a-permutation", f"{perm!r} is not a permutation of 1..{n}")
     invs = component_invariants(atlas, link)
     preserving = all(invs[sigma[c] - 1] == invs[c] for c in range(n))
     if isinstance(link, GreaterLink):
@@ -903,6 +921,7 @@ def enumerate_nondestab_links(atlas, n: int, p: int, q: int) -> list[Link]:
                 out.append(make_lesser_link(atlas, w, sign, n, p, q))
         return out
     raise WrongRegime(
+        "unsupported-window",
         f"({p},{q}) lies in the unsupported window between tbb and the width "
         f"ceiling for {atlas.name}"
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import CutoffAbovePeak, InvalidMultiplicity, ParityViolation, TooManyRows
+from .errors import OutOfRange
 
 Point = tuple[int, int]
 
@@ -12,7 +12,7 @@ Point = tuple[int, int]
 # row included.  Work grows with the square of the depth: at the limit a
 # builtin mountain takes about 0.25-0.35 s to count and 0.35-0.75 s as a CLI
 # request with its output, and an integer-slope enumerate (126k links) about
-# 1.1 s on a 2-vCPU host.  Deeper requests raise TooManyRows.
+# 1.1 s on a 2-vCPU host.  Deeper requests raise OutOfRange.
 MAX_ROWS = 500
 
 
@@ -45,9 +45,11 @@ class MountainRange(_RangeFields):
     ) -> MountainRange:
         for (rot, tb), mult in entries.items():
             if (rot + tb) % 2 == 0:
-                raise ParityViolation(f"entry at ({rot}, {tb}) has even rot + tb")
+                raise OutOfRange("entry-parity", f"entry at ({rot}, {tb}) has even rot + tb")
             if mult < 1:
-                raise InvalidMultiplicity(rot, tb, mult)
+                raise OutOfRange(
+                    "bad-multiplicity", f"multiplicity {mult} at ({rot}, {tb}) must be >= 1"
+                )
         return super().__new__(cls, entries, tb_min, {} if labels is None else labels, truncated)
 
     def points(self) -> list[Point]:
@@ -63,19 +65,20 @@ class MountainRange(_RangeFields):
 
 
 def check_rows(top: int, bottom: int) -> None:
-    """Raise TooManyRows when more than MAX_ROWS rows lie from ``top`` down to ``bottom``."""
+    """Raise OutOfRange when more than MAX_ROWS rows lie from ``top`` down to ``bottom``."""
     if top - bottom >= MAX_ROWS:
-        raise TooManyRows(
+        raise OutOfRange(
+            "too-many-rows",
             f"{top - bottom + 1} rows from tb={top} down to tb={bottom}; "
             f"at most {MAX_ROWS} are walked"
         )
 
 
 def check_cutoff(tb_min: int, peak: int) -> None:
-    """Raise CutoffAbovePeak when the cutoff row lies above the peak row, and
-    TooManyRows when the range would have more than MAX_ROWS rows."""
+    """Raise OutOfRange when the cutoff row lies above the peak row, or when
+    the range would have more than MAX_ROWS rows."""
     if tb_min > peak:
-        raise CutoffAbovePeak(f"tb_min={tb_min} above the peak row tb={peak}")
+        raise OutOfRange("cutoff-above-peak", f"tb_min={tb_min} above the peak row tb={peak}")
     check_rows(peak, tb_min)
 
 

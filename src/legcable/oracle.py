@@ -15,9 +15,11 @@ before any search, and searches link pairs only when the multisets agree.
 Class pairs are always searched.  Because the move sets generate the full
 isotopy relation only for atlas classes and greater links, a disjoint
 fully-explored pair is reported NotIsotopic only in those regimes (and for
-integer pairs away from the n-copy sector).  Integer and lesser pairs whose
-distinctness rests on the classification's side conditions come back
-Unknown: the oracle never overclaims, since it is the trust anchor.
+integer pairs away from the n-copy sector, or whose components' class
+orbits differ as multisets: an isotopy carries components to components).
+Integer and lesser pairs whose distinctness rests on the classification's
+side conditions come back Unknown: the oracle never overclaims, since it is
+the trust anchor.
 
 Both searches run ``atlas.orbit``, and they stop where they meet; the
 decider's integer clause runs the same meeting search over its own moves.
@@ -57,6 +59,7 @@ closure components per point.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Optional
 
 from .atlas import (
@@ -74,7 +77,7 @@ from .atlas import (
     peaks,
 )
 from .cables import window_classes
-from .errors import BudgetExceeded, KindMismatch
+from .errors import OutOfRange, WrongRegime
 from .links import (
     DIVIDE,
     GreaterLink,
@@ -291,7 +294,7 @@ def _dispatch(atlas, obj):
         return state, integer_moves, "integer-link", (obj.n, obj.q)
     if isinstance(obj, LesserLink):
         return _lesser_state(obj), _lesser_moves, "lesser-link", (obj.n, obj.p, obj.q)
-    raise KindMismatch(f"cannot search over {type(obj).__name__}")
+    raise WrongRegime("unsearchable-object", f"cannot search over {type(obj).__name__}")
 
 
 def _path(parents, state) -> list:
@@ -325,7 +328,7 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
     s1, moves1, kind1, sig1 = _dispatch(atlas, obj1)
     s2, moves2, kind2, sig2 = _dispatch(atlas, obj2)
     if kind1 != kind2 or sig1 != sig2:
-        raise KindMismatch(f"{kind1}{sig1} vs {kind2}{sig2}")
+        raise WrongRegime("kind-mismatch", f"{kind1}{sig1} vs {kind2}{sig2}")
     if kind1 != "class" and _inv_key(atlas, obj1) != _inv_key(atlas, obj2):
         return Verdict.no("component invariants differ")
     orbit1, ok1, met = orbit(atlas, s1, moves1, budget, stop={s2})
@@ -344,6 +347,9 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
             return Verdict.no(
                 "orbits disjoint, fully explored, and away from the n-copy sector"
             )
+        orbits = [_component_orbits(atlas, obj, budget) for obj in (obj1, obj2)]
+        if None not in orbits and orbits[0] != orbits[1]:
+            return Verdict.no("component classes differ")
         return Verdict.maybe(
             "orbits disjoint but the n-copy sector merges lie outside the move set"
         )
@@ -351,6 +357,23 @@ def closure_equal(atlas, obj1, obj2, budget: SearchBudget = SearchBudget()) -> V
         "orbits disjoint; distinctness of lesser cables rests on side conditions "
         "outside the move set"
     )
+
+
+def _component_orbits(atlas, link: IntegerLink, budget: SearchBudget) -> Optional[Counter]:
+    """The multiset of the class orbits of ``link``'s components, read off
+    its raw presentation: the core is L+a-b and each ruling component
+    L+(t+a)-(t+b).  None when the budget cuts an orbit short.  Orbits, unlike
+    normal forms, tell classes apart on a non-confluent atlas too."""
+    L, out = link.L, Counter()
+    for c, (a, b) in enumerate(link.vec):
+        a, b = (a + link.t, b + link.t) if c else (a, b)
+        start = (Generic(L.rot + a - b, L.tb - a - b) if isinstance(L, Generic)
+                 else Named(L.gen, L.plus + a, L.minus + b))
+        states, complete, _ = orbit(atlas, start, legclass_moves, budget)
+        if not complete:
+            return None
+        out[frozenset(states)] += 1
+    return out
 
 
 def _inv_key(atlas, obj) -> tuple:
@@ -431,7 +454,7 @@ def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> Moun
     """Closure components per point among ``(point, presentation)`` pairs.
 
     Points below ``tb_min`` are dropped; an orbit the budget cuts short
-    raises BudgetExceeded rather than miscounting.
+    raises OutOfRange rather than miscounting.
     """
     buckets: dict[tuple[int, int], list] = {}
     for point, pres in pairs:
@@ -444,7 +467,7 @@ def _brute_range(atlas, pairs, moves, tb_min: int, budget: SearchBudget) -> Moun
             if pres not in seen:
                 states, complete, _ = orbit(atlas, pres, moves, budget)
                 if not complete:
-                    raise BudgetExceeded("orbit search exceeded the budget")
+                    raise OutOfRange("budget-exceeded", "orbit search exceeded the budget")
                 seen.update(states)
                 entries[point] += 1
     return from_counts(entries, tb_min)

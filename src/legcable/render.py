@@ -18,12 +18,12 @@ from json.encoder import encode_basestring_ascii
 from pyexpat import ParserCreate
 from typing import NamedTuple
 
-from .errors import EmptyRange, TooWide
+from .errors import OutOfRange
 from .mountain import MountainRange
 
 # The most rot columns of an ASCII grid.  Its cost is rows times columns, and
 # a range's rot values are not bounded by its rows (an atlas generator or a
-# cable slope can put them anywhere), so a wider grid raises TooWide.
+# cable slope can put them anywhere), so a wider grid raises OutOfRange.
 MAX_COLUMNS = 2001
 
 
@@ -31,11 +31,12 @@ def ascii_mountain(mr: MountainRange) -> str:
     """tb rows descending, rot columns centered at 0, '.' for empty cells."""
     entries = mr.entries
     if not entries:
-        raise EmptyRange("mountain range has no entries")
+        raise OutOfRange("empty-range", "mountain range has no entries")
     t_max = max(t for _, t in entries)
     r_max = max(abs(r) for r, _ in entries)
     if 2 * r_max + 1 > MAX_COLUMNS:
-        raise TooWide(
+        raise OutOfRange(
+            "too-wide",
             f"{2 * r_max + 1} rot columns from rot={-r_max} to rot={r_max}; "
             f"at most {MAX_COLUMNS} are drawn"
         )
@@ -148,7 +149,7 @@ def svg_mountain(mr: MountainRange, overlays=None) -> str:
     (x0, y0) is where the lattice point (0, 0) falls on the canvas.
     """
     if not mr.entries:
-        raise EmptyRange("mountain range has no entries")
+        raise OutOfRange("empty-range", "mountain range has no entries")
     overlays = list(overlays or [])
     pts = list(mr.entries) + [p for ov in overlays for p in ov.points]
     r_max = max(abs(r) for r, _ in pts)

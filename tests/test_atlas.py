@@ -34,23 +34,13 @@ from legcable import (
 )
 from legcable import atlas as atlas_module
 from legcable.cli import run as cli_run
-from legcable.errors import (
-    CutoffAbovePeak,
-    DuplicateId,
-    InvariantMismatch,
-    MalformedDocument,
-    MetadataInconsistent,
-    NotConfluent,
-    ParityViolation,
-    TooManyRows,
-    UnknownGenerator,
-    UnsupportedKind,
-)
+from legcable.errors import InvalidAtlas, MalformedDocument, OutOfRange, UnknownName
 from legcable.links import GreaterLink, IntegerLink, LesserLink, Verdict
 from legcable.mountain import MAX_ROWS, MountainRange, tally
 from legcable.oracle import ConfluenceReport, SearchBudget, closure_equal, legclass_moves
 from legcable.render import Overlay
 from legcable.selfcheck import CheckResult
+from test_errors import raises_code
 
 UNKNOT_SPEC = {
     "name": "unknot",
@@ -81,12 +71,12 @@ def test_make_atlas_rejects_inconsistent_rule():
         "rules": [{"src": "g", "da": 1, "db": 0, "dst": "h"}],
         "tbb": 1,
     }
-    with pytest.raises(InvariantMismatch):
+    with raises_code(InvalidAtlas, "rule-invariants"):
         make_atlas(spec)
 
 
 def test_make_atlas_rejects_duplicate_and_parity_and_metadata():
-    with pytest.raises(DuplicateId):
+    with raises_code(InvalidAtlas, "duplicate-id"):
         make_atlas(
             {
                 "generators": [
@@ -96,9 +86,9 @@ def test_make_atlas_rejects_duplicate_and_parity_and_metadata():
                 "tbb": 1,
             }
         )
-    with pytest.raises(ParityViolation):
+    with raises_code(InvalidAtlas, "generator-parity"):
         make_atlas({"generators": [{"id": "g", "rot": 0, "tb": 2}], "tbb": 2})
-    with pytest.raises(MetadataInconsistent):
+    with raises_code(InvalidAtlas, "metadata-mismatch"):
         make_atlas(
             {
                 "generators": [{"id": "g", "rot": 0, "tb": 1}],
@@ -107,7 +97,7 @@ def test_make_atlas_rejects_duplicate_and_parity_and_metadata():
                 "uniformly_thick": True,
             }
         )
-    with pytest.raises(MetadataInconsistent):
+    with raises_code(InvalidAtlas, "metadata-mismatch"):
         make_atlas({"generators": [{"id": "g", "rot": 0, "tb": 1}], "tbb": 0})
 
 
@@ -137,9 +127,9 @@ def test_builtin_k_minus_5_and_unknot():
 
 
 def test_builtin_rejects_unknown_kind():
-    with pytest.raises(UnsupportedKind):
+    with raises_code(UnknownName, "unknown-atlas"):
         builtin_atlas("twist-even-1")
-    with pytest.raises(UnsupportedKind):
+    with raises_code(UnknownName, "unknown-atlas"):
         builtin_atlas("granny")
 
 
@@ -242,72 +232,76 @@ X_DOC = {"id": "X", "name": "X", "rot": 0, "tb": 0}
 
 # One row per fault the validator checks, each the only fault of its atlas:
 # the fault as a change to the twist-even-2 document, the same fault as a
-# change to its records, and the error that make_atlas raises for it.
+# change to its records, and the error and code that make_atlas raises for it.
 VALIDATOR_FAULTS = [
     ({"generators": TE2_DOC["generators"] + [TE2_DOC["generators"][0]]},
      {"generators": TE2.generators + (TE2.generators[0],)},
-     DuplicateId, "generator id 'P1' appears twice"),
+     InvalidAtlas, "duplicate-id", "generator id 'P1' appears twice"),
     ({"generators": TE2_DOC["generators"] + [X_DOC]},
      {"generators": TE2.generators + (Generator("X", "X", 0, 0),)},
-     ParityViolation, "generator 'X' has even rot + tb = 0"),
+     InvalidAtlas, "generator-parity", "generator 'X' has even rot + tb = 0"),
     ({"rules": TE2_DOC["rules"] + [{"src": "X", "da": 1, "db": 0, "dst": "generic"}]},
      {"rules": TE2.rules + (RewriteRule("X", 1, 0, None),)},
-     UnknownGenerator, "rule source 'X' is not a generator"),
+     InvalidAtlas, "dangling-generator", "rule source 'X' is not a generator"),
     ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 0, "db": 0, "dst": "generic"}]},
      {"rules": TE2.rules + (RewriteRule("P1", 0, 0, None),)},
-     InvariantMismatch, "rule (P1,0,0) needs da,db >= 0, da+db >= 1"),
+     InvalidAtlas, "rule-counts", "rule (P1,0,0) needs da,db >= 0, da+db >= 1"),
     ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": -1, "db": 2, "dst": "generic"}]},
      {"rules": TE2.rules + (RewriteRule("P1", -1, 2, None),)},
-     InvariantMismatch, "rule (P1,-1,2) needs da,db >= 0, da+db >= 1"),
+     InvalidAtlas, "rule-counts", "rule (P1,-1,2) needs da,db >= 0, da+db >= 1"),
     ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 2, "db": 0, "dst": "X"}]},
      {"rules": TE2.rules + (RewriteRule("P1", 2, 0, "X"),)},
-     UnknownGenerator, "rule target 'X' is not a generator"),
+     InvalidAtlas, "dangling-generator", "rule target 'X' is not a generator"),
     ({"rules": TE2_DOC["rules"] + [{"src": "P1", "da": 1, "db": 1, "dst": "R1"}]},
      {"rules": TE2.rules + (RewriteRule("P1", 1, 1, "R1"),)},
-     InvariantMismatch, "rule (P1,1,1)->R1: target invariants (1, 0) differ from (0, -1)"),
+     InvalidAtlas, "rule-invariants",
+     "rule (P1,1,1)->R1: target invariants (1, 0) differ from (0, -1)"),
     ({"generators": TE2_DOC["generators"] + [dict(X_DOC, rot=1, tb=-2)],
       "rules": TE2_DOC["rules"] + [{"src": "P1", "da": 1, "db": 0, "dst": "X"}]},
      {"generators": TE2.generators + (Generator("X", "X", 1, -2),),
       "rules": TE2.rules + (RewriteRule("P1", 1, 0, "X"),)},
-     InvariantMismatch, "rule (P1,1,0)->X: target invariants (1, -2) differ from (1, 0)"),
+     InvalidAtlas, "rule-invariants",
+     "rule (P1,1,0)->X: target invariants (1, -2) differ from (1, 0)"),
     ({"generators": [], "rules": [], "surgery_distinct": [], "sigma_plus": [],
       "sigma_minus": []},
      {"generators": (), "rules": (), "surgery_distinct": (), "sigma_plus": (),
       "sigma_minus": ()},
-     InvariantMismatch, "an atlas needs at least one generator"),
+     InvalidAtlas, "no-generators", "an atlas needs at least one generator"),
     ({"tbb": 2, "width_ceiling": 2}, {"tbb": 2, "width_ceiling": 2},
-     MetadataInconsistent, "tbb=2 but the maximal generator tb is 1"),
+     InvalidAtlas, "metadata-mismatch", "tbb=2 but the maximal generator tb is 1"),
     ({"width_ceiling": 3}, {"width_ceiling": 3},
-     MetadataInconsistent, "uniformly thick atlases must have width_ceiling == tbb, got 3 != 1"),
+     InvalidAtlas, "metadata-mismatch",
+     "uniformly thick atlases must have width_ceiling == tbb, got 3 != 1"),
     ({"width_ceiling": 0, "uniformly_thick": False},
      {"width_ceiling": 0, "uniformly_thick": False},
-     MetadataInconsistent, "width_ceiling 0 below tbb 1"),
+     InvalidAtlas, "metadata-mismatch", "width_ceiling 0 below tbb 1"),
     ({"surgery_distinct": [{"a": "R1", "b": "X", "value": "yes"}]},
      {"surgery_distinct": (("R1", "X", "yes"),)},
-     UnknownGenerator,
+     InvalidAtlas, "dangling-generator",
      "surgery_distinct names unknown generator in {'a': 'R1', 'b': 'X', 'value': 'yes'}"),
     ({"surgery_distinct": [{"a": "R1", "b": "L1", "value": "maybe"}]},
      {"surgery_distinct": (("R1", "L1", "maybe"),)},
-     InvariantMismatch, "surgery_distinct value 'maybe' not in ('yes', 'no', 'unknown')"),
+     InvalidAtlas, "surgery-value",
+     "surgery_distinct value 'maybe' not in ('yes', 'no', 'unknown')"),
     ({"sigma_plus": ["R1", "X"]}, {"sigma_plus": ("R1", "X")},
-     UnknownGenerator, "sigma_plus names unknown generator 'X'"),
+     InvalidAtlas, "dangling-generator", "sigma_plus names unknown generator 'X'"),
     ({"sigma_minus": ["X", "L1"]}, {"sigma_minus": ("X", "L1")},
-     UnknownGenerator, "sigma_minus names unknown generator 'X'"),
+     InvalidAtlas, "dangling-generator", "sigma_minus names unknown generator 'X'"),
 ]
 
 
-@pytest.mark.parametrize("doc_change, record_change, error, message", VALIDATOR_FAULTS)
+@pytest.mark.parametrize("doc_change, record_change, error, code, message", VALIDATOR_FAULTS)
 def test_one_fault_raises_alike_from_documents_and_records(
-        doc_change, record_change, error, message, tmp_path, capsys):
+        doc_change, record_change, error, code, message, tmp_path, capsys):
     doc = dict(TE2_DOC, **doc_change)
-    with pytest.raises(error) as raised:
+    with raises_code(error, code) as raised:
         make_atlas(doc)
     assert str(raised.value) == message
     path = tmp_path / "atlas.json"
     path.write_text(json.dumps(doc))
     assert cli_run(["mountain", "--atlas", str(path), "--tb-min", "-3"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    with pytest.raises(error) as raised:
+    with raises_code(error, code) as raised:
         atlas_module.validate_atlas(TE2.replace(**record_change))
     assert str(raised.value) == message
 
@@ -321,7 +315,7 @@ def test_normalize_examples():
 
 def test_normalize_unknown_generator():
     atlas = builtin_atlas("unknot")
-    with pytest.raises(UnknownGenerator):
+    with raises_code(UnknownName, "unknown-generator"):
         normalize(atlas, Named("Z", 1, 0))
 
 
@@ -383,7 +377,7 @@ def test_mountain_range_fixtures():
 
 
 def test_mountain_range_cutoff_above_peak():
-    with pytest.raises(CutoffAbovePeak):
+    with raises_code(OutOfRange, "cutoff-above-peak"):
         mountain_range(builtin_atlas("unknot"), 0)
 
 
@@ -398,7 +392,7 @@ def test_row_walks_stop_at_the_row_limit():
         lambda: mountain_range(atlas, bottom - 1),
         lambda: mountain_range(atlas, -10**12),
     ):
-        with pytest.raises(TooManyRows, match=f"at most {MAX_ROWS}"):
+        with raises_code(OutOfRange, "too-many-rows", match=f"at most {MAX_ROWS}"):
             walk()
 
 
@@ -422,7 +416,7 @@ def test_normalization_preserves_invariants_exhaustively():
 
 def test_normalization_rules_strictly_decrease():
     # rules with da + db = 0 are rejected, so rewriting terminates
-    with pytest.raises(InvariantMismatch):
+    with raises_code(InvalidAtlas, "rule-counts"):
         make_atlas(
             {
                 "generators": [
@@ -613,7 +607,8 @@ def test_class_rows_are_the_per_class_walk_on_random_atlases(atlas):
 def proven(atlas):
     try:
         return atlas_module._check_confluent(atlas) is atlas
-    except NotConfluent:
+    except InvalidAtlas as refused:
+        assert refused.code == "not-confluent"
         return False
 
 
@@ -678,7 +673,7 @@ NON_CONFLUENT = {
 @pytest.mark.parametrize("name", NON_CONFLUENT)
 def test_make_atlas_refuses_diverging_rules(name):
     spec, message = NON_CONFLUENT[name]
-    with pytest.raises(NotConfluent) as refused:
+    with raises_code(InvalidAtlas, "not-confluent") as refused:
         make_atlas(spec)
     assert str(refused.value) == message
     # the records themselves are valid, and the oracle's sweep agrees
@@ -791,7 +786,7 @@ def test_normalize_is_the_reference_loop(atlas, raw):
         c = Named(gens[i % len(gens)].id, a, b)
         assert normalize(atlas, c) == reference_normalize(atlas, c)
         assert type(normalize(atlas, c)) is type(reference_normalize(atlas, c))
-    with pytest.raises(UnknownGenerator):
+    with raises_code(UnknownName, "unknown-generator"):
         normalize(atlas, Named("missing", raw[0][1], raw[0][2]))
     assert normalize(atlas, Generic(3, -8)) == Generic(3, -8)
 
@@ -803,7 +798,7 @@ def test_normalize_raises_on_an_unknown_rule_target():
                       uniformly_thick=False)
     assert normalize(atlas, Named("g", 0, 3)) == Named("g", 0, 3)
     for norm in (normalize, reference_normalize):
-        with pytest.raises(UnknownGenerator):
+        with raises_code(UnknownName, "unknown-generator"):
             norm(atlas, Named("g", 1, 0))
 
 
@@ -929,7 +924,7 @@ def test_destabilizations_normalize_at_most_twice_per_generator(monkeypatch):
 def test_class_from_json_rejects_negative_counts():
     assert class_from_json({"gen": "A", "plus": 2}) == Named("A", 2, 0)
     for doc in ({"gen": "A", "plus": -3}, {"gen": "A", "minus": -1}):
-        with pytest.raises(MalformedDocument):
+        with raises_code(MalformedDocument, "bad-field"):
             class_from_json(doc)
 
 

@@ -32,13 +32,8 @@ from legcable import (
     stabilize_component,
     window_classes,
 )
-from legcable.errors import (
-    CutoffAbovePeak,
-    NotReduced,
-    RegimeMismatch,
-    WrongRegime,
-    WrongWindow,
-)
+from legcable.errors import OutOfRange, WrongRegime
+from test_errors import raises_code
 from legcable import cables as cables_module
 from legcable.mountain import tally
 from legcable.oracle import brute_cable_mountain_range
@@ -81,9 +76,9 @@ def test_regime_unsupported_window():
 
 def test_regime_rejects_unreduced_slopes():
     un = builtin_atlas("unknot")
-    with pytest.raises(NotReduced):
+    with raises_code(WrongRegime, "unreduced-slope"):
         regime(un, 2, 4)
-    with pytest.raises(NotReduced):
+    with raises_code(WrongRegime, "unreduced-slope"):
         regime(un, 0, 1)
 
 
@@ -115,7 +110,7 @@ def test_greater_cable_formulas():
 
 def test_greater_cable_wrong_regime():
     tw2 = builtin_atlas("twist-even-2")
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "not-greater"):
         cable(tw2, Named("P1"), 2, -3)
 
 
@@ -146,7 +141,7 @@ def test_cable_knot_isotopy_examples():
     resolved = stabilize_component(k5, cable(k5, Named("A"), 2, 1), 1, POS, 2)
     assert isotopic(k5, resolved, cable(k5, stabilize(k5, Named("A"), POS, 1), 2, 1)).is_isotopic
     assert isotopic(k5, a, a).is_isotopic
-    with pytest.raises(RegimeMismatch):
+    with raises_code(WrongRegime, "link-mismatch"):
         isotopic(k5, a, cable(k5, Named("A"), 2, 3, 1, 0))
 
 
@@ -178,10 +173,11 @@ def test_cable_ranges_reject_a_cutoff_above_the_peak_row():
     k5, tw2 = builtin_atlas("k-minus-5"), builtin_atlas("twist-even-2")
     peak = 2 * 1 - (1 - 2 * k5.tbb)  # greater (2,1) cables of the tb = -3 classes
     assert cable_mountain_range(k5, 2, 1, peak).entries == {(0, peak): 2}
-    with pytest.raises(CutoffAbovePeak, match=f"tb_min={peak + 1} above the peak row tb={peak}"):
+    above = f"tb_min={peak + 1} above the peak row tb={peak}"
+    with raises_code(OutOfRange, "cutoff-above-peak", match=above):
         cable_mountain_range(k5, 2, 1, peak + 1)
     assert lesser_mountain_range(tw2, 2, -3, -6).total() == 6  # two per window class
-    with pytest.raises(CutoffAbovePeak, match="above the peak row tb=-6"):
+    with raises_code(OutOfRange, "cutoff-above-peak", match="above the peak row tb=-6"):
         lesser_mountain_range(tw2, 2, -3, -5)
 
 
@@ -227,7 +223,7 @@ def test_cable_labels_are_sorted_per_point_as_the_global_sort_left_them(monkeypa
 
 def test_cable_mountain_range_wrong_regime():
     tw2 = builtin_atlas("twist-even-2")
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "not-greater"):
         cable_mountain_range(tw2, 2, -3, -8)
 
 
@@ -288,12 +284,12 @@ def test_lesser_knot_examples():
 
 def test_lesser_knot_window_and_regime_errors():
     tw2 = builtin_atlas("twist-even-2")
-    with pytest.raises(WrongWindow):
+    with raises_code(WrongRegime, "wrong-window"):
         lesser(tw2, Named("P1"), POS, 2, -3)  # tb 1, window is -1
     un = builtin_atlas("unknot")
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "not-noninteger-lesser"):
         lesser(un, Named("U"), POS, 2, -3)
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "not-noninteger-lesser"):
         lesser_mountain_range(un, 2, -3, -8)
 
 

@@ -14,9 +14,10 @@ import pytest
 from legcable import atlas as atlas_module
 from legcable import atlas_to_json, atlas_to_json_str, builtin_atlas
 from legcable import cli, selfcheck
-from legcable.errors import UnsupportedKind
+from legcable.errors import UnknownName
 from legcable.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, run
 from test_atlas import NON_CONFLUENT
+from test_errors import raises_code
 from test_golden_cli import CASES
 
 
@@ -687,10 +688,10 @@ def test_twist_even_names_past_the_bound_exit_two_fast(capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0, name
         assert code == EXIT_USAGE and out == "", name
         assert "2 <= N <= 48" in err, name
-        with pytest.raises(UnsupportedKind, match="N <= 48"):
+        with raises_code(UnknownName, "unknown-atlas", match="N <= 48"):
             builtin_atlas(name)
     # a numeral past int()'s digit limit is refused by its length
-    with pytest.raises(UnsupportedKind, match="N <= 48"):
+    with raises_code(UnknownName, "unknown-atlas", match="N <= 48"):
         builtin_atlas("twist-even-" + "9" * 5000)
     assert builtin_atlas("twist-even-48").name == "twist-even-48"
     # the surgery atlas at the bound takes seconds to build; its name is accepted

@@ -40,8 +40,9 @@ from legcable import (
 )
 from legcable import atlas as atlas_module
 from legcable import links as links_module
-from legcable.errors import NotConfluent, WrongRegime
+from legcable.errors import InvalidAtlas, WrongRegime
 from test_atlas import NON_CONFLUENT, count_normalize, proven, small_atlases, unproven_atlas
+from test_errors import raises_code
 from test_verdict_sites import thick_atlases
 
 BUILTINS = (
@@ -121,7 +122,8 @@ def table_free_closure(atlas, link, node_cap=4000):
 def integer_link(atlas, L, n, t, vec):
     try:
         return make_integer_link(atlas, L, n, t, vec)
-    except WrongRegime:
+    except WrongRegime as exc:
+        assert exc.code in ("negative-twist", "not-integer-lesser")
         return None
 
 
@@ -294,7 +296,7 @@ def test_the_deleted_core_clause_needs_unique_normal_forms():
     y = make_integer_link(atlas, Generic(2, -1), 2, 1, ((0, 0), (0, 2)))
     assert two_closure_isotopic_integer(atlas, x, y, 4000).reason == PAIR_UP
     assert component_class(atlas, x, 1) == component_class(atlas, y, 1) == Generic(2, -1)
-    with pytest.raises(NotConfluent):
+    with raises_code(InvalidAtlas, "not-confluent"):
         atlas_module.make_atlas(spec)
 
 

@@ -41,17 +41,8 @@ from legcable import (
 )
 from legcable import links as links_module
 from legcable.atlas import ceil_div
-from legcable.errors import (
-    BadIndex,
-    EngineError,
-    InvariantMismatch,
-    LengthMismatch,
-    MalformedDocument,
-    NotAPermutation,
-    RegimeMismatch,
-    WrongRegime,
-    WrongWindow,
-)
+from legcable.errors import EngineError, MalformedDocument, OutOfRange, UnknownName, WrongRegime
+from test_errors import raises_code
 
 
 def k5():
@@ -69,13 +60,13 @@ def test_make_link_constructors_validate():
     atlas = k5()
     link = make_greater_link(atlas, Named("A"), 2, 2, 1)
     assert link.vec == ((0, 0), (0, 0))
-    with pytest.raises(LengthMismatch):
+    with raises_code(OutOfRange, "vector-length"):
         make_greater_link(atlas, Named("A"), 2, 2, 1, ((0, 0),))
     most = links_module.MAX_COMPONENTS
     assert len(make_greater_link(atlas, Named("A"), most, 2, 1).vec) == most
-    with pytest.raises(LengthMismatch):
+    with raises_code(OutOfRange, "component-count"):
         make_greater_link(atlas, Named("A"), most + 1, 2, 1)
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "not-greater"):
         make_greater_link(tw(), Named("P1"), 2, 2, -3)
     doc = {
         "regime": "integer-lesser",
@@ -88,7 +79,7 @@ def test_make_link_constructors_validate():
     assert isinstance(link, IntegerLink) and link.t == 1
     assert make_link(tw(), dict(doc, p=1)) == link
     for p in (2, 7):
-        with pytest.raises(RegimeMismatch):
+        with raises_code(WrongRegime, "inconsistent-slope"):
             make_link(tw(), dict(doc, p=p))
     doc = {
         "regime": "noninteger-lesser",
@@ -135,9 +126,9 @@ def test_make_link_reads_only_the_sign_spellings():
     for sign in ("0", 0, "+", "-"):
         assert make_link(tw(), dict(doc, base={**ruling, "sign": sign})).sign == 0
     for sign in ("banana", "0", 0, 2, True, 1.0, None, [1]):
-        with pytest.raises(MalformedDocument):
+        with raises_code(MalformedDocument, "bad-field"):
             make_link(tw(), dict(doc, base={**doc["base"], "sign": sign}))
-    with pytest.raises(MalformedDocument):
+    with raises_code(MalformedDocument, "bad-field"):
         make_link(tw(), dict(doc, base={**ruling, "sign": "banana"}))
 
 
@@ -149,7 +140,7 @@ def test_make_link_rejects_generic_classes_the_atlas_does_not_hold():
     # on twist-even-2, (0, 2) has even rot + tb, it, (1, 2) and (0, 5) lie
     # above the peak row tb = 1, and every class at (0, 1) and (2, -1) is Named
     for rot, tb in ((0, 2), (1, 2), (0, 5), (0, 1), (2, -1)):
-        with pytest.raises(InvariantMismatch, match="is not a class of twist-even-2"):
+        with raises_code(UnknownName, "class-not-held", match="is not a class of twist-even-2"):
             make_link(tw(), doc(rot, tb, -2))
     # the Named and Generic spellings of one class are still both accepted
     assert make_link(tw(), doc(0, -3, -4)).L == Generic(0, -3)
@@ -161,7 +152,8 @@ def test_make_link_rejects_generic_classes_the_atlas_does_not_hold():
 
 def test_link_constructors_reject_generic_classes_the_atlas_does_not_hold():
     # each slope is of the constructor's regime; every class at (0, 1) and
-    # (2, -1) is Named, and (0, 5) lies above the peak row
+    # (2, -1) is Named, (0, 5) lies above the peak row, and a Named class
+    # with a negative count sits above its generator's cone
     atlas = tw()
     builds = (
         lambda c: make_greater_link(atlas, c, 2, 2, 3),
@@ -170,8 +162,10 @@ def test_link_constructors_reject_generic_classes_the_atlas_does_not_hold():
         lambda c: make_lesser_link(atlas, c, 0, 1, 2, -3, form="ruling"),
     )
     for build in builds:
-        for c in (Generic(0, 5), Generic(0, 1), Generic(2, -1), Generic(0, 2)):
-            with pytest.raises(InvariantMismatch, match=r"is not a class of twist-even-2$"):
+        for c in (Generic(0, 5), Generic(0, 1), Generic(2, -1), Generic(0, 2),
+                  Named("P1", -1, 0), Named("R1", 2, -1)):
+            with raises_code(UnknownName, "class-not-held",
+                             match=r"is not a class of twist-even-2$"):
                 build(c)
     # a Generic the atlas holds, and the Named spelling of one it does not
     assert make_greater_link(atlas, Generic(0, -1), 2, 2, 3).u == Generic(0, -1)
@@ -189,13 +183,14 @@ def test_link_constructors_reject_one_negative_count_in_an_entry():
     )
     for build in builds:
         for vec in (((-1, 2), (0, 0)), ((2, -1), (0, 0))):
-            with pytest.raises(LengthMismatch, match="must be nonnegative"):
+            with raises_code(OutOfRange, "negative-count", match="must be nonnegative"):
                 build(vec)
 
 
 def test_divide_form_needs_a_sign():
     # a document cannot ask for this: make_link reads only the sign spellings
-    with pytest.raises(WrongWindow, match=r"^divide form needs sign \+1 or -1, got 0$"):
+    message = r"^divide form needs sign \+1 or -1, got 0$"
+    with raises_code(WrongRegime, "divide-sign", match=message):
         make_lesser_link(tw(), Named("P1"), 0, 2, 2, 1)
 
 
@@ -333,7 +328,7 @@ def test_stabilize_component_examples():
     mixed = stabilize_component(atlas, stabilize_component(atlas, ncopy, 1, POS), 2, NEG)
     assert mixed.vec == ((1, 0), (0, 1))
     assert stabilize_component(atlas, ncopy, 1, POS, 0) == ncopy
-    with pytest.raises(BadIndex):
+    with raises_code(OutOfRange, "bad-index"):
         stabilize_component(atlas, ncopy, 3, POS)
     # stabilizing every component p times pushes into the underlying knot
     k5a = k5()
@@ -349,10 +344,10 @@ def test_stabilize_component_rejects_bad_sign_and_count():
     ncopy = make_integer_link(atlas, Named("P1"), 2, 0)
     greater = make_greater_link(k5a, Named("A"), 2, 2, 1)
     for bad_sign in (7, 0, "banana"):
-        with pytest.raises(InvariantMismatch, match="sign must be"):
+        with raises_code(OutOfRange, "bad-stabilization", match="sign must be"):
             stabilize_component(atlas, ncopy, 1, bad_sign)
     for a, link in ((atlas, ncopy), (k5a, greater)):
-        with pytest.raises(InvariantMismatch, match="count must be >= 0, got -3"):
+        with raises_code(OutOfRange, "bad-stabilization", match="count must be >= 0, got -3"):
             stabilize_component(a, link, 2, POS, -3)
 
 
@@ -457,9 +452,9 @@ def test_isotopic_rejects_mismatched_links():
     atlas = tw()
     g = make_greater_link(atlas, Named("P1"), 2, 1, 2)
     i = make_integer_link(atlas, Named("P1"), 2, 0)
-    with pytest.raises(RegimeMismatch):
+    with raises_code(WrongRegime, "link-mismatch"):
         isotopic(atlas, g, i)
-    with pytest.raises(RegimeMismatch):
+    with raises_code(WrongRegime, "link-mismatch"):
         isotopic(atlas, g, make_greater_link(atlas, Named("P1"), 3, 1, 2))
 
 
@@ -518,7 +513,7 @@ def test_component_class_examples():
     assert component_invariants(k5a, comp) == [(1, -6)]
     ncopy = make_integer_link(atlas, Named("R1"), 3, 0)
     assert all(component_class(atlas, ncopy, c) == Named("R1") for c in (1, 2, 3))
-    with pytest.raises(BadIndex):
+    with raises_code(OutOfRange, "bad-index"):
         component_class(atlas, ncopy, 4)
 
 
@@ -596,7 +591,7 @@ def test_permutation_realizable_greater():
     assert permutation_realizable(atlas, link, [2, 1]).is_isotopic
     skew = make_greater_link(atlas, Named("A"), 2, 2, 1, ((1, 0), (0, 1)))
     assert permutation_realizable(atlas, skew, [2, 1]).is_not_isotopic
-    with pytest.raises(NotAPermutation):
+    with raises_code(OutOfRange, "not-a-permutation"):
         permutation_realizable(atlas, link, [1, 1])
 
 
@@ -653,7 +648,7 @@ def test_enumerate_nondestab_links_fixtures():
     assert sorted(l.u.gen for l in bases) == ["A", "B"]
     lesser = enumerate_nondestab_links(atlas, 1, 2, -3)
     assert len(lesser) == 6
-    with pytest.raises(WrongRegime):
+    with raises_code(WrongRegime, "unsupported-window"):
         enumerate_nondestab_links(builtin_atlas("unknot"), 2, 2, -3)
 
 

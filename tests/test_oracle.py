@@ -42,9 +42,10 @@ from legcable import (
 from legcable import links as links_module
 from legcable import oracle as oracle_module
 from legcable.cables import greater_base_invariants, lesser_base_invariants
-from legcable.errors import BudgetExceeded, KindMismatch, WrongRegime
+from legcable.errors import OutOfRange, WrongRegime
 from legcable.selfcheck import check_oracle_agreement
 from test_atlas import small_atlases, unproven_atlas
+from test_errors import raises_code
 
 # brute-force builder and greedy builder of each kind of range
 RANGES = {
@@ -114,9 +115,9 @@ def test_link_witness_paths_spell_states_as_explored():
 
 def test_closure_equal_kind_mismatch():
     tw2 = builtin_atlas("twist-even-2")
-    with pytest.raises(KindMismatch):
+    with raises_code(WrongRegime, "kind-mismatch"):
         closure_equal(tw2, Named("P1"), make_greater_link(tw2, Named("P1"), 1, 1, 2))
-    with pytest.raises(KindMismatch):
+    with raises_code(WrongRegime, "kind-mismatch"):
         closure_equal(
             tw2,
             make_greater_link(tw2, Named("P1"), 1, 2, 3),
@@ -250,7 +251,7 @@ def test_brute_mountain_ranges_agree_with_greedy(kind, name, args):
 def test_brute_ranges_raise_when_the_budget_cuts_an_orbit(kind):
     # a miscount from a truncated orbit would read as a range; it must raise
     _, name, args = next(case for case in BRUTE_CASES if case[0] == kind)
-    with pytest.raises(BudgetExceeded):
+    with raises_code(OutOfRange, "budget-exceeded"):
         RANGES[kind][0](builtin_atlas(name), *args, SearchBudget(depth=1))
 
 
@@ -433,7 +434,8 @@ def sampled_link_pairs(atlas, regime, rng, count, p=2, offset=1):
                         make_lesser_link(atlas, rng.choice(window), rng.choice((POS, NEG)),
                                          n, p, q, _shallow_vec(rng, n)),
                     ))
-        except WrongRegime:
+        except WrongRegime as exc:
+            assert exc.code in ("negative-twist", "not-integer-lesser", "not-noninteger-lesser")
             continue
     return pairs
 

@@ -20,14 +20,9 @@ from legcable import (
     svg_entries,
     svg_mountain,
 )
-from legcable.errors import (
-    EmptyRange,
-    EngineError,
-    InvalidMultiplicity,
-    ParityViolation,
-    TooWide,
-)
+from legcable.errors import EngineError, OutOfRange
 from legcable.render import MAX_COLUMNS
+from test_errors import raises_code
 
 
 def test_ascii_rows_and_digits():
@@ -50,7 +45,7 @@ def test_ascii_marks_truncation():
 
 
 def test_ascii_empty_range():
-    with pytest.raises(EmptyRange):
+    with raises_code(OutOfRange, "empty-range"):
         ascii_mountain(MountainRange(entries={}, tb_min=0))
 
 
@@ -58,19 +53,19 @@ def test_ascii_column_limit():
     r_max = (MAX_COLUMNS - 1) // 2
     grid = ascii_mountain(MountainRange(entries={(r_max, 1): 1, (-r_max, 1): 1}, tb_min=1))
     assert len(grid.splitlines()[0].split("|")[1].split()) == MAX_COLUMNS
-    with pytest.raises(TooWide):
+    with raises_code(OutOfRange, "too-wide"):
         ascii_mountain(MountainRange(entries={(r_max + 2, 1): 1}, tb_min=1))
 
 
 def test_mountain_range_rejects_even_parity():
-    with pytest.raises(ParityViolation):
+    with raises_code(OutOfRange, "entry-parity"):
         MountainRange(entries={(0, 2): 1}, tb_min=0)
 
 
 def test_mountain_range_rejects_zero_multiplicity_as_engine_error():
     with pytest.raises(EngineError) as caught:
         MountainRange(entries={(0, 1): 0}, tb_min=0)
-    assert isinstance(caught.value, InvalidMultiplicity)
+    assert isinstance(caught.value, OutOfRange) and caught.value.code == "bad-multiplicity"
 
 
 def test_svg_round_trip_is_lossless():

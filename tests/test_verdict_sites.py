@@ -170,7 +170,7 @@ ROWS = [
     Row("_isotopic_integer", "single components are the same class", YES,
         "twist-even-2", "isotopic", ("T^1(1.P1)[+1-0]", "T^0(1.R1)[+0-0]"), None, YES),
     Row("_isotopic_integer", "single components are distinct classes", NO,
-        "k-minus-5", "isotopic", ("T^0(1.A)[+0-0]", "T^0(1.B)[+0-0]"), None, MAYBE),
+        "k-minus-5", "isotopic", ("T^0(1.A)[+0-0]", "T^0(1.B)[+0-0]"), None, NO),
     Row("_isotopic_integer", "common twisted-copy presentation found", YES,
         "twist-even-2", "isotopic", ("T^1(2.R1)[+1-0,+0-0]", "T^0(2.R1+1-0)[+0-0,+0-1]"),
         None, YES),
@@ -198,10 +198,10 @@ ROWS = [
         "k-minus-5", "isotopic", ("T^0(2.A)[+0-1,+1-1]", "T^0(2.B)[+0-1,+1-1]"), None, MAYBE),
     Row("_components_differ", "no matching of the components pairs equal Legendrian classes",
         NO, "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+1-1]", "T^0(2.B)[+0-0,+1-1]"),
-        None, MAYBE),
+        None, NO),
     Row("_distinct_max_tb", "maximal-tb components lie in distinct Legendrian classes",
         NO, "k-minus-5", "isotopic", ("T^0(2.A)[+0-0,+0-0]", "T^0(2.B)[+0-0,+0-0]"),
-        lr("A", "B"), MAYBE),
+        lr("A", "B"), NO),
     # -- _isotopic_lesser
     Row("_isotopic_lesser", "component invariant multisets differ", NO,
         "twist-even-2", "isotopic", ("(0,-1)^+_2(2,-3)[+0-0,+0-0]", "(0,-1)^-_2(2,-3)[+0-0,+0-0]"),
@@ -272,9 +272,12 @@ ROWS = [
         "k-minus-5", "closure_equal", ("A^+_1(2,-7)[+0-0]", "B^+_1(2,-7)[+1-0]"), None, NO),
     Row("closure_equal", "orbits disjoint, fully explored, and away from the n-copy sector", NO,
         "k-minus-5", "closure_equal", ("T^1(2.A)[+0-0,+0-0]", "T^1(2.B)[+0-0,+0-0]"), None, NO),
+    Row("closure_equal", "component classes differ", NO,
+        "k-minus-5", "closure_equal", ("T^0(2.A)[+0-0,+0-0]", "T^0(2.B)[+0-0,+0-0]"), None, NO),
     Row("closure_equal",
         "orbits disjoint but the n-copy sector merges lie outside the move set", MAYBE,
-        "k-minus-5", "closure_equal", ("T^0(2.A)[+0-0,+0-0]", "T^0(2.B)[+0-0,+0-0]"), None, NO),
+        "k-minus-5", "closure_equal", ("T^0(2.A)[+0-1,+1-1]", "T^0(2.B)[+0-1,+1-1]"), None,
+        MAYBE),
     Row("closure_equal",
         "orbits disjoint; distinctness of lesser cables rests on side conditions outside the "
         "move set", MAYBE,
